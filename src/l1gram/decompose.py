@@ -256,13 +256,7 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE,
         if len(set(order)) != len(order) or any(not 0 <= i < n for i in order):
             raise ValueError("fixed_order must be a sequence of distinct in-range indices")
     elif rule.kind == "random_order":
-        r = Rng(rule.seed)
-        perm = np.arange(n)
-        words = r.u64(n)
-        for j in range(n):
-            t = j + int(words[j]) % (n - j)
-            perm[j], perm[t] = perm[t], perm[j]
-        order = tuple(int(i) for i in perm)
+        order = tuple(Rng(rule.seed).permutation(n).tolist())
 
     vectors = []
     costs = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -19,6 +19,7 @@ from .linalg import GramMatrix, as_matrix_array, max_eigenvalue
 from .rng import Rng
 
 EXHAUSTIVE_SUBSET_CAP = 10**6
+_STACK_CAP = 1 << 17  # float64 entries per stacked eigvalsh call
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,17 @@ class SubsetNormEstimate:
     normalized: float
 
 
-def _spectral_norm_sub(a: np.ndarray, idx) -> float:
-    sub = a[np.ix_(idx, idx)]
-    lam = np.linalg.eigvalsh(sub)
-    return float(max(abs(lam[0]), abs(lam[-1])))
+def _max_norm_of_subsets(a: np.ndarray, subsets, k: int) -> float:
+    """Max spectral norm of the principal submatrices a[S, S] over the size-k
+    index rows S that `subsets` yields, one stacked eigvalsh call per chunk."""
+    rows = max(1, _STACK_CAP // (k * k))
+    best = 0.0
+    while True:
+        idx = np.fromiter(islice(subsets, rows), dtype=(np.intp, k))
+        if idx.shape[0] == 0:
+            return best
+        lam = np.linalg.eigvalsh(a[idx[:, :, None], idx[:, None, :]])
+        best = max(best, float(np.abs(lam[:, [0, -1]]).max()))
 
 
 def _exhaustive_norm(a: np.ndarray, k: int) -> float:
@@ -172,10 +180,7 @@ def _exhaustive_norm(a: np.ndarray, k: int) -> float:
         mid = (a[iu, iu] + a[ju, ju]) / 2.0
         rad = np.sqrt(((a[iu, iu] - a[ju, ju]) / 2.0) ** 2 + a[iu, ju] ** 2)
         return float((np.abs(mid) + rad).max())
-    best = 0.0
-    for idx in combinations(range(n), k):
-        best = max(best, _spectral_norm_sub(a, list(idx)))
-    return best
+    return _max_norm_of_subsets(a, combinations(range(n), k), k)
 
 
 def max_restricted_norm(W, k: int, mode: str = "auto",
@@ -204,10 +209,7 @@ def max_restricted_norm(W, k: int, mode: str = "auto",
         raise ValueError("monte_carlo mode requires an rng")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    best = 0.0
-    for _ in range(samples):
-        idx = rng.subset(n, k)
-        best = max(best, _spectral_norm_sub(a, idx))
+    best = _max_norm_of_subsets(a, iter(rng.subsets(n, k, samples)), k)
     return SubsetNormEstimate(k, "monte_carlo", samples, best, best / math.sqrt(n))
 
 

@@ -19,6 +19,7 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 _TWO_M53 = 2.0 ** -53
+_POOL_CAP = 1 << 16  # index-pool entries shuffled at once
 
 
 def mix64(z):
@@ -28,6 +29,23 @@ def mix64(z):
         z = (z ^ (z >> np.uint64(30))) * _MIX_A
         z = (z ^ (z >> np.uint64(27))) * _MIX_B
         return z ^ (z >> np.uint64(31))
+
+
+def _fisher_yates_prefix(words: np.ndarray, n: int) -> np.ndarray:
+    """First k entries of a Fisher-Yates shuffle of range(n) per row of the
+    (m, k) word array: step j swaps positions j and j + word_j % (n - j)."""
+    m, k = words.shape
+    out = np.empty((m, k), dtype=np.int64)
+    step = max(1, _POOL_CAP // max(n, 1))
+    for s in range(0, m, step):
+        w = words[s:s + step]
+        rows = np.arange(w.shape[0])
+        pool = np.tile(np.arange(n, dtype=np.int64), (w.shape[0], 1))
+        for j in range(k):
+            r = j + (w[:, j] % np.uint64(n - j)).astype(np.int64)
+            pool[rows, j], pool[rows, r] = pool[rows, r], pool[rows, j]
+        out[s:s + step] = pool[:, :k]
+    return out
 
 
 class Rng:
@@ -78,16 +96,23 @@ class Rng:
             raise ValueError("bound must be positive")
         return (self.u64(count) % np.uint64(bound)).astype(np.int64)
 
-    def subset(self, n: int, k: int) -> np.ndarray:
-        """Uniform random size-k subset of range(n) by Fisher-Yates prefix."""
+    def subsets(self, n: int, k: int, count: int) -> np.ndarray:
+        """`count` uniform random size-k subsets of range(n), one sorted row
+        each, by Fisher-Yates prefix; k words per row, drawn in one call."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        pool = np.arange(n)
-        words = self.u64(k)  # one word per swap
-        for j in range(k):
-            r = j + int(words[j]) % (n - j)
-            pool[j], pool[r] = pool[r], pool[j]
-        return np.sort(pool[:k])
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        words = self.u64(count * k).reshape(count, k)
+        return np.sort(_fisher_yates_prefix(words, n), axis=1)
+
+    def subset(self, n: int, k: int) -> np.ndarray:
+        """Uniform random size-k subset of range(n), sorted."""
+        return self.subsets(n, k, 1)[0]
+
+    def permutation(self, n: int) -> np.ndarray:
+        """Uniform random permutation of range(n) by Fisher-Yates (n words)."""
+        return _fisher_yates_prefix(self.u64(n).reshape(1, n), n)[0]
 
     def child(self, index: int) -> "Rng":
         """Independent generator derived by hashing (seed, index)."""

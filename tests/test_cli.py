@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import l1gram
 from l1gram import GramMatrix, save_matrix
 from l1gram.cli import main
 from l1gram.experiments import (
@@ -215,8 +217,11 @@ def test_fit_loglog_exponent_basics():
 
 
 def test_console_entry_point_runs():
+    # run from the directory that holds the imported package, so the child
+    # finds it whether it came from PYTHONPATH, pytest's pythonpath or site
     proc = subprocess.run([sys.executable, "-m", "l1gram.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          cwd=Path(l1gram.__file__).parents[1])
     assert proc.returncode == 0
     assert "l1gram" in proc.stdout
 

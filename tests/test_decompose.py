@@ -157,6 +157,17 @@ class TestGreedyPeel:
         with pytest.raises(ValueError):
             greedy_peel(GramMatrix.identity(3), PivotRule.fixed_order([0, 0, 1]))
 
+    @pytest.mark.parametrize("seed, n, pivots", [
+        (5, 12, [2, 5, 1, 0, 9, 3, 4, 7, 8, 11, 6, 10]),
+        (123, 20, [15, 0, 18, 13, 6, 16, 4, 1, 9, 11, 7, 8, 12, 19, 10, 2,
+                   14, 5, 3, 17]),
+        (0xDEADBEEF, 9, [7, 3, 6, 1, 4, 8, 5, 0, 2]),
+    ])
+    def test_random_order_pivots_frozen(self, seed, n, pivots):
+        # the shuffle is part of the output: these orders must never change
+        dec = greedy_peel(sample_wishart(n, Rng(seed + 1)), PivotRule.random_order(seed))
+        assert list(dec.pivots) == pivots
+
 
 class TestCostIdentity:
     def test_all_ones(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from l1gram import (
     shift_to_T,
     tail_bound_curve,
 )
+from l1gram import randcert
 
 
 class TestSampleW:
@@ -147,6 +149,50 @@ class TestMaxRestrictedNorm:
             for i in range(6) for j in range(i + 1, 6)
         )
         assert fast == pytest.approx(slow, rel=1e-12)
+
+
+def _reference_norm(a, subsets):
+    # one eigvalsh per subset: the unbatched scan the batched one must equal
+    best = 0.0
+    for idx in subsets:
+        lam = np.linalg.eigvalsh(a[np.ix_(idx, idx)])
+        best = max(best, float(max(abs(lam[0]), abs(lam[-1]))))
+    return best
+
+
+def _hollow_and_gaussian(n, seed):
+    g = Rng(seed).normal(n * n).reshape(n, n)
+    return sample_W(n, Rng(seed)).entries, (g + g.T) / 2
+
+
+class TestBatchedScan:
+    def test_exhaustive_equals_per_subset_loop(self):
+        for n in range(3, 15):
+            for a in _hollow_and_gaussian(n, 300 + n):
+                for k in range(3, n + 1):
+                    ref = _reference_norm(a, itertools.combinations(range(n), k))
+                    assert max_restricted_norm(a, k, mode="exhaustive").value == ref
+
+    def test_exhaustive_spanning_chunks(self):
+        n, k = 50, 3
+        chunk = randcert._STACK_CAP // (k * k)
+        assert chunk < math.comb(n, k) and math.comb(n, k) % chunk != 0
+        for a in _hollow_and_gaussian(n, 17):
+            ref = _reference_norm(a, itertools.combinations(range(n), k))
+            assert max_restricted_norm(a, k, mode="exhaustive").value == ref
+
+    @pytest.mark.parametrize("k, samples", [(3, 1001), (40, 200)])
+    def test_monte_carlo_equals_sequential_reference(self, k, samples):
+        n = 60
+        chunk = randcert._STACK_CAP // (k * k)
+        assert samples % chunk != 0
+        for a in _hollow_and_gaussian(n, k):
+            seq, batch = Rng(k), Rng(k)
+            ref = _reference_norm(a, (seq.subset(n, k) for _ in range(samples)))
+            est = max_restricted_norm(a, k, mode="monte_carlo", samples=samples,
+                                      rng=batch)
+            assert est.value == ref
+            assert batch.counter == seq.counter == samples * k
 
 
 class TestEstimateKappa:

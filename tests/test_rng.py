@@ -64,6 +64,43 @@ def test_subset_is_sorted_unique_in_range():
         assert s.min() >= 0 and s.max() < 20
 
 
+def _sequential_fisher_yates(rng, n, k):
+    # one word per swap, drawn per call: the stream contract of subset/permutation
+    pool = list(range(n))
+    for j, w in enumerate(rng.u64(k)):
+        r = j + int(w) % (n - j)
+        pool[j], pool[r] = pool[r], pool[j]
+    return pool[:k]
+
+
+@pytest.mark.parametrize("n, k, count", [(20, 6, 50), (1000, 3, 150), (7, 7, 3),
+                                         (5, 0, 4), (9, 4, 0)])
+def test_subsets_rows_equal_sequential_subset_calls(n, k, count):
+    batch, seq, ref = Rng(31), Rng(31), Rng(31)
+    rows = batch.subsets(n, k, count)
+    assert rows.shape == (count, k)
+    for row in rows:
+        assert np.array_equal(row, seq.subset(n, k))
+        assert row.tolist() == sorted(_sequential_fisher_yates(ref, n, k))
+    assert batch.counter == seq.counter == ref.counter == count * k
+
+
+def test_permutation_is_the_full_fisher_yates_shuffle():
+    for n in (1, 2, 10, 400):
+        r, ref = Rng(n), Rng(n)
+        perm = r.permutation(n)
+        assert perm.tolist() == _sequential_fisher_yates(ref, n, n)
+        assert sorted(perm.tolist()) == list(range(n))
+        assert r.counter == n
+
+
+def test_subsets_argument_checks():
+    with pytest.raises(ValueError):
+        Rng(1).subsets(3, 4, 1)
+    with pytest.raises(ValueError):
+        Rng(1).subsets(3, 2, -1)
+
+
 def test_w_entry_mean_over_many_seeds():
     # Rademacher mean of the (0, 1) entry across seeds
     vals = [sample_W(3, Rng(s)).entries[0, 1] for s in range(10000)]
