@@ -164,14 +164,40 @@ def default_pivot_tolerance(a: np.ndarray) -> float:
     return 1e-13 * (1.0 + abs(float(np.trace(a))))
 
 
+def _peel_pivot(a: np.ndarray, i: int, tol: float, tr: float,
+                x: np.ndarray, scratch: np.ndarray) -> bool:
+    """One pivot step of peel_step and greedy_peel on the writable ``a``.
+
+    Peels a diagonal above ``tol`` in place (x and ``scratch`` are outputs)
+    and returns True; returns False, leaving ``a`` as is, for an exhausted
+    row within the PSD bound (see SingularPivotError); raises otherwise.
+    """
+    n = a.shape[0]
+    d = float(a[i, i])
+    row = a[i]
+    if d <= tol:
+        row_norm = float(np.linalg.norm(row))
+        if row_norm <= np.sqrt(max(d, tol) * max(tr, 0.0)) + tol * n:
+            return False
+        raise SingularPivotError(i, d, row_norm)
+    np.divide(row, np.sqrt(d), out=x)
+    np.multiply.outer(row, row, out=scratch)
+    scratch /= d
+    a -= scratch
+    a[i, :] = 0.0  # exact in theory; clear the roundoff
+    a[:, i] = 0.0
+    return True
+
+
 def peel_step(A, i: int, tol_pivot: Optional[float] = None,
               check_psd: bool = True) -> Tuple[np.ndarray, GramMatrix]:
     """One peeling step: split off a_i a_i^T / A_ii.
 
     Returns (x, A2) with x = a_i / sqrt(A_ii) and A2 = A - x x^T; row and
-    column i of A2 are exactly zero.  A pivot whose diagonal and row are both
-    negligible yields (0, A) unchanged; a negligible diagonal with a
-    non-negligible row raises SingularPivotError.
+    column i of A2 are exactly zero.  A pivot whose diagonal is at most
+    ``tol_pivot`` is exhausted when its row satisfies the PSD bound
+    ||a_i||_2 <= sqrt(max(A_ii, tol_pivot) * tr A) + tol_pivot * n; then the
+    result is (0, A) unchanged.  A longer row raises SingularPivotError.
     """
     a = as_matrix_array(A)
     n = a.shape[0]
@@ -180,17 +206,9 @@ def peel_step(A, i: int, tol_pivot: Optional[float] = None,
     if check_psd:
         _require_psd(a, None)
     tol = default_pivot_tolerance(a) if tol_pivot is None else tol_pivot
-    d = float(a[i, i])
-    row = a[i]
-    if d <= tol:
-        row_norm = float(np.linalg.norm(row))
-        if row_norm <= tol * n:
-            return np.zeros(n), (A if isinstance(A, GramMatrix) else GramMatrix._wrap(a))
-        raise SingularPivotError(i, d, row_norm)
-    x = row / np.sqrt(d)
-    a2 = a - np.outer(row, row) / d
-    a2[i, :] = 0.0  # exact in theory; clear the roundoff
-    a2[:, i] = 0.0
+    a2 = a.copy()
+    x = np.zeros(n)
+    _peel_pivot(a2, i, tol, float(np.trace(a)), x, np.empty_like(a2))
     return x, GramMatrix._wrap(a2)
 
 
@@ -238,9 +256,12 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE,
                 tol_psd: Optional[float] = None) -> Decomposition:
     """Peel rank-one factors until the residual trace is negligible.
 
-    Emits at most n vectors (each step zeroes one row/column).  Indices whose
-    diagonal is exhausted with a negligible row are skipped; an exhausted
-    diagonal with a live row propagates SingularPivotError.
+    Copies A once and peels the copy in place, emitting at most n vectors
+    (each step zeroes one row/column).  A row whose diagonal is at most
+    ``tol_pivot`` is exhausted and skipped when ||a_j||_2 <=
+    sqrt(max(a_jj, tol_pivot) * tr) + tol_pivot * n, tr being the trace left
+    at that step; a longer row cannot belong to a PSD residual and raises
+    SingularPivotError.
     """
     a = as_matrix_array(A).copy()
     n = a.shape[0]
@@ -248,7 +269,7 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE,
     tol = default_pivot_tolerance(a) if tol_pivot is None else tol_pivot
     tr0 = float(np.trace(a))
     stop_at = tol_stop * abs(tr0)
-    cap = n if max_steps is None else min(max_steps, n)
+    cap = n if max_steps is None else max(0, min(max_steps, n))
 
     order = None
     if rule.kind == "fixed_order":
@@ -258,37 +279,29 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE,
     elif rule.kind == "random_order":
         order = tuple(Rng(rule.seed).permutation(n).tolist())
 
-    vectors = []
-    costs = []
+    vecs = np.empty((cap, n))
+    costs = np.empty(cap)
     pivots = []
+    scratch = np.empty_like(a)
     used = np.zeros(n, dtype=bool)
-    for _ in range(cap):
-        if float(np.trace(a)) <= stop_at:
+    for k in range(cap):
+        tr = float(np.trace(a))
+        if tr <= stop_at:
             break
-        diag = np.diag(a)
-        active = (~used) & (diag > tol)
-        # exhausted diagonals may only carry negligible rows
-        dead = (~used) & (diag <= tol)
-        if dead.any():
-            dead_idx = np.nonzero(dead)[0]
-            row_norms = np.linalg.norm(a[dead_idx], axis=1)
-            bad = row_norms > tol * n
-            if bad.any():
-                pos = int(np.argmax(bad))
-                raise SingularPivotError(dead_idx[pos], diag[dead_idx[pos]], row_norms[pos])
-            used[dead_idx] = True
-        i = _select_pivot(a, rule, active, order)
+        # exhausted diagonals are skipped, or raise if their row is too long
+        for j in np.nonzero(~used & (np.diag(a) <= tol))[0]:
+            _peel_pivot(a, j, tol, tr, vecs[k], scratch)
+            used[j] = True
+        i = _select_pivot(a, rule, ~used, order)
         if i is None:
             break
-        x, A2 = peel_step(a, i, tol_pivot=tol, check_psd=False)
-        a = A2.entries.copy()
-        vectors.append(x)
-        costs.append(np.abs(x).sum() ** 2)
+        _peel_pivot(a, i, tol, tr, vecs[k], scratch)
+        costs[k] = np.abs(vecs[k]).sum() ** 2
         pivots.append(i)
         used[i] = True
 
-    vecs = np.array(vectors) if vectors else np.zeros((0, n))
-    costs = np.asarray(costs, dtype=np.float64)
+    k = len(pivots)
+    vecs, costs = vecs[:k].copy(), costs[:k].copy()  # drop the unused rows
     return Decomposition(
         vectors=vecs,
         costs=costs,

@@ -30,10 +30,12 @@ class NotPositiveSemidefiniteError(L1GramError):
 
 
 class SingularPivotError(L1GramError):
-    """A peeling pivot had a (near-)zero diagonal but a non-negligible row.
+    """A peeling pivot had a (near-)zero diagonal but a row too long for it.
 
-    A PSD matrix with A_ii = 0 must have a zero i-th row, so this signals
-    corrupted or non-PSD input.
+    In a PSD matrix |A_ij|^2 <= A_ii A_jj, so ||a_i||_2 <= sqrt(A_ii tr A).
+    A row whose diagonal is at most the pivot tolerance tol is exhausted
+    while ||a_i||_2 <= sqrt(max(A_ii, tol) tr A) + tol n; a longer row
+    signals corrupted or non-PSD input.
     """
 
     def __init__(self, index, diagonal, row_norm):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,15 @@ class TestPeelStep:
         assert np.array_equal(x, np.zeros(2))
         assert np.array_equal(A2.entries, A.entries)
 
+    def test_exhausted_row_within_psd_bound_is_noop(self):
+        # r r^T with r_0^2 = 1e-14 below the pivot tolerance: row 0 has norm
+        # 1e-7 > tol * n, yet sqrt(a_00 tr) allows it, so it is exhausted.
+        r = np.array([1e-7, 1.0])
+        A = GramMatrix(np.outer(r, r))
+        x, A2 = peel_step(A, 0)
+        assert np.array_equal(x, np.zeros(2))
+        assert np.array_equal(A2.entries, A.entries)
+
 
 class TestGreedyPeel:
     def test_all_ones_sharpness(self):
@@ -167,6 +178,94 @@ class TestGreedyPeel:
         # the shuffle is part of the output: these orders must never change
         dec = greedy_peel(sample_wishart(n, Rng(seed + 1)), PivotRule.random_order(seed))
         assert list(dec.pivots) == pivots
+
+    @pytest.mark.parametrize("seed, rule", [
+        (21, PivotRule.max_diagonal()),
+        (34, PivotRule.min_cost_per_trace()),
+    ], ids=["seed21-max_diagonal", "seed34-min_cost_per_trace"])
+    def test_rank_one_remainder_is_not_a_singular_pivot(self, seed, rule):
+        # The rank-40 input of the decompose benchmark at this seed.  On the
+        # 40th step the residual is r r^T; a row j with r_j^2 below the pivot
+        # tolerance still has norm |r_j| ||r|| = sqrt(a_jj tr), which PSD-ness
+        # allows, so it is exhausted, not evidence of a non-PSD input.
+        A = sample_wishart(400, Rng(seed).child(1), p=40)
+        dec = greedy_peel(A, rule)
+        assert dec.k == 40
+        assert validate(dec, A).ok
+
+    def test_row_beyond_psd_bound_raises(self):
+        # a_22 = 0 but |a_20| = 1e-3, far above sqrt(max(a_22, tol) tr) + tol n:
+        # no PSD matrix has such a row.
+        a = np.array([[1.0, 0.0, 1e-3], [0.0, 1.0, 0.0], [1e-3, 0.0, 0.0]])
+        with pytest.raises(SingularPivotError) as exc:
+            greedy_peel(a, PivotRule.max_diagonal(), tol_psd=1e-5)
+        assert exc.value.index == 2
+
+
+def _digest(*chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+FROZEN_INPUTS = {
+    "full": lambda: sample_wishart(96, Rng(2024)),
+    "rank24": lambda: sample_wishart(96, Rng(2025), p=24),
+}
+FROZEN_RULES = {
+    "max_diagonal": PivotRule.max_diagonal(),
+    "min_cost_per_trace": PivotRule.min_cost_per_trace(),
+    "max_trace_removal": PivotRule.max_trace_removal(),
+    "fixed_order": PivotRule.fixed_order(range(95, -1, -1)),
+    "random_order": PivotRule.random_order(7),
+}
+FROZEN_PEEL = {
+    ("full", "max_diagonal"):
+        "308e292cd90e52a2bbb7127e715e56525f2336ce05aa0bcb73fbbf40d9b6f66e",
+    ("full", "min_cost_per_trace"):
+        "e24fc2304e5194ae771e6b7969489efa3a67517f08bf7e20fc6f30105490ce2c",
+    ("full", "max_trace_removal"):
+        "845b290f4328d7462b3ac4efb32237e8b1992ed39796a89ea303eee1e7406fdc",
+    ("full", "fixed_order"):
+        "4cb73406bee60ba8b79e6d1d941199570262e2b413462f807ad4c6b634c7a6d5",
+    ("full", "random_order"):
+        "b60aeaba24bd86d7f9859f4106aef1c26273bfb9369bb92c993d1fed10f54a1a",
+    ("rank24", "max_diagonal"):
+        "983db2df590a10a7fcf779b3ed995595f3aa85ee64c3959925b49da762744af9",
+    ("rank24", "min_cost_per_trace"):
+        "62cc5f58748ef112ca0c03341879e7078588cff583d5df51177ed81d8291148f",
+    ("rank24", "max_trace_removal"):
+        "cad82511a1b716ab7b1461d3c3fc618cddeccefb946e14bd704a3ad07d0d8dbc",
+    ("rank24", "fixed_order"):
+        "efe74ae94a32ba3fa61f83c7050ecba3425ff4df6f57556f2d85b9065b51ebd0",
+    ("rank24", "random_order"):
+        "53a28d4bfdac9fb5c20c5882601b36b5d4897d81304761d822e89b15289c6c7b",
+}
+
+
+class TestFrozenOutputs:
+    """SHA-256 of peeling outputs, recorded before greedy_peel ran in place.
+
+    Every byte of every factor is part of the output.
+    """
+
+    @pytest.mark.parametrize("key, rule", sorted(FROZEN_PEEL), ids="/".join)
+    def test_greedy_peel(self, key, rule):
+        dec = greedy_peel(FROZEN_INPUTS[key](), FROZEN_RULES[rule])
+        assert _digest(dec.vectors.tobytes(), dec.costs.tobytes(),
+                       repr(dec.pivots).encode(),
+                       dec.residual_trace.hex().encode()) == FROZEN_PEEL[key, rule]
+
+    def test_peel_step_chain(self):
+        a = sample_wishart(40, Rng(11))
+        chunks = []
+        for i in (3, 17, 0, 39, 22):
+            x, a = peel_step(a, i, check_psd=False)
+            chunks.append(x.tobytes())
+        chunks.append(a.entries.tobytes())
+        assert _digest(*chunks) == (
+            "15e27e7f5092b54879db1eaeb3213d1ce1a7e51f293a91994200ccdc51d7dbbf")
 
 
 class TestCostIdentity:
