@@ -164,13 +164,13 @@ def default_pivot_tolerance(a: np.ndarray) -> float:
     return 1e-13 * (1.0 + abs(float(np.trace(a))))
 
 
-def _peel_pivot(a: np.ndarray, i: int, tol: float, tr: float,
-                x: np.ndarray, scratch: np.ndarray) -> bool:
-    """One pivot step of peel_step and greedy_peel on the writable ``a``.
+def _peel_pivot(a: np.ndarray, i: int, tol: float,
+                tr: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """One pivot step of peel_step on ``a``, which it leaves as is.
 
-    Peels a diagonal above ``tol`` in place (x and ``scratch`` are outputs)
-    and returns True; returns False, leaving ``a`` as is, for an exhausted
-    row within the PSD bound (see SingularPivotError); raises otherwise.
+    Returns (x, a - x x^T) in fresh arrays for a diagonal above ``tol``;
+    returns None for an exhausted row within the PSD bound (see
+    SingularPivotError); raises otherwise.
     """
     n = a.shape[0]
     d = float(a[i, i])
@@ -178,15 +178,14 @@ def _peel_pivot(a: np.ndarray, i: int, tol: float, tr: float,
     if d <= tol:
         row_norm = float(np.linalg.norm(row))
         if row_norm <= np.sqrt(max(d, tol) * max(tr, 0.0)) + tol * n:
-            return False
+            return None
         raise SingularPivotError(i, d, row_norm)
-    np.divide(row, np.sqrt(d), out=x)
-    np.multiply.outer(row, row, out=scratch)
-    scratch /= d
-    a -= scratch
-    a[i, :] = 0.0  # exact in theory; clear the roundoff
-    a[:, i] = 0.0
-    return True
+    a2 = np.multiply.outer(row, row)
+    a2 /= d
+    np.subtract(a, a2, out=a2)
+    a2[i, :] = 0.0  # exact in theory; clear the roundoff
+    a2[:, i] = 0.0
+    return row / np.sqrt(d), a2
 
 
 def peel_step(A, i: int, tol_pivot: Optional[float] = None,
@@ -206,10 +205,10 @@ def peel_step(A, i: int, tol_pivot: Optional[float] = None,
     if check_psd:
         _require_psd(a, None)
     tol = default_pivot_tolerance(a) if tol_pivot is None else tol_pivot
-    a2 = a.copy()
-    x = np.zeros(n)
-    _peel_pivot(a2, i, tol, float(np.trace(a)), x, np.empty_like(a2))
-    return x, GramMatrix._wrap(a2)
+    step = _peel_pivot(a, i, tol, float(np.trace(a)))
+    if step is None:
+        return np.zeros(n), (A if isinstance(A, GramMatrix) else GramMatrix._wrap(a))
+    return step[0], GramMatrix._wrap(step[1])
 
 
 def per_step_cost_identity_check(A, i: int) -> float:
@@ -256,14 +255,14 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE,
                 tol_psd: Optional[float] = None) -> Decomposition:
     """Peel rank-one factors until the residual trace is negligible.
 
-    Copies A once and peels the copy in place, emitting at most n vectors
-    (each step zeroes one row/column).  A row whose diagonal is at most
-    ``tol_pivot`` is exhausted and skipped when ||a_j||_2 <=
+    Each step is one peel_step on the raw residual, so at most n vectors are
+    emitted (each step zeroes one row/column).  A row whose diagonal is at
+    most ``tol_pivot`` is exhausted and skipped when ||a_j||_2 <=
     sqrt(max(a_jj, tol_pivot) * tr) + tol_pivot * n, tr being the trace left
     at that step; a longer row cannot belong to a PSD residual and raises
     SingularPivotError.
     """
-    a = as_matrix_array(A).copy()
+    a = as_matrix_array(A)
     n = a.shape[0]
     _require_psd(a, tol_psd)
     tol = default_pivot_tolerance(a) if tol_pivot is None else tol_pivot
@@ -279,29 +278,30 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE,
     elif rule.kind == "random_order":
         order = tuple(Rng(rule.seed).permutation(n).tolist())
 
-    vecs = np.empty((cap, n))
-    costs = np.empty(cap)
+    vectors = []
+    costs = []
     pivots = []
-    scratch = np.empty_like(a)
     used = np.zeros(n, dtype=bool)
-    for k in range(cap):
+    for _ in range(cap):
         tr = float(np.trace(a))
         if tr <= stop_at:
             break
         # exhausted diagonals are skipped, or raise if their row is too long
         for j in np.nonzero(~used & (np.diag(a) <= tol))[0]:
-            _peel_pivot(a, j, tol, tr, vecs[k], scratch)
+            _peel_pivot(a, j, tol, tr)
             used[j] = True
         i = _select_pivot(a, rule, ~used, order)
         if i is None:
             break
-        _peel_pivot(a, i, tol, tr, vecs[k], scratch)
-        costs[k] = np.abs(vecs[k]).sum() ** 2
+        x, A2 = peel_step(a, i, tol_pivot=tol, check_psd=False)
+        a = A2.entries
+        vectors.append(x)
+        costs.append(np.abs(x).sum() ** 2)
         pivots.append(i)
         used[i] = True
 
-    k = len(pivots)
-    vecs, costs = vecs[:k].copy(), costs[:k].copy()  # drop the unused rows
+    vecs = np.array(vectors) if vectors else np.zeros((0, n))
+    costs = np.asarray(costs, dtype=np.float64)
     return Decomposition(
         vectors=vecs,
         costs=costs,

@@ -35,8 +35,8 @@ class GramMatrix:
             raise ValueError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        asym = np.abs(a - a.T).max()
-        if asym > 0.0:
+        if not np.array_equal(a, a.T):  # one comparison pass when exact
+            asym = np.abs(a - a.T).max()
             tol = SYMMETRY_RTOL * np.linalg.norm(a)
             if asym > tol:
                 raise AsymmetricMatrixError(asym, tol)
