@@ -9,7 +9,6 @@ whose ratio lower-bounds the worst-case cost constant over PSD matrices.
 from .bounds import (
     BoundReport,
     RatioCertificate,
-    SignSupportPattern,
     WitnessCertificate,
     certify_ratio,
     piplus_dual_upper,
@@ -54,14 +53,11 @@ from .matio import load_matrix, save_decomposition, save_matrix, save_report
 from .randcert import (
     BaiYinSummary,
     KappaEstimate,
-    RandomEnsembleSpec,
     SubsetNormEstimate,
     all_ones,
     bai_yin_stat,
     build_T,
     circulant_small_offdiag,
-    diagonal,
-    estimate_kappa,
     estimate_kappa_for,
     make_ensemble,
     max_restricted_norm,

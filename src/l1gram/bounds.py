@@ -46,8 +46,8 @@ def weaker_certificate(*certs: str) -> str:
 class BoundReport:
     """Lower/upper values for one quantity with a certificate status.
 
-    quantity is one of rho1 | piplus | ratio | gamma_plus_upper; certificate
-    is exact | certified_bound | heuristic.  witness optionally carries the
+    quantity is one of rho1 | piplus | ratio; certificate is
+    exact | certified_bound | heuristic.  witness optionally carries the
     vector or matrix achieving the reported bound.
     """
 
@@ -69,33 +69,6 @@ class BoundReport:
             if self.certificate == "exact":
                 if self.upper - self.lower > 1e-6 * max(1.0, abs(self.upper)):
                     raise ValueError("exact certificate requires matching bounds")
-
-
-@dataclass(frozen=True)
-class SignSupportPattern:
-    """Support plus one sign per support index, first sign normalized to +1."""
-
-    support: tuple
-    signs: tuple
-
-    def __post_init__(self):
-        if not self.support:
-            raise ValueError("support must be nonempty")
-        if self.signs[0] != 1:
-            raise ValueError("patterns are canonicalized with first sign +1")
-
-
-def pattern_of(x: np.ndarray, rel_tol: float = 1e-12) -> Optional[SignSupportPattern]:
-    """Canonical sign/support pattern of a vector (None for ~zero input)."""
-    ax = np.abs(x)
-    top = ax.max()
-    if top <= 0.0:
-        return None
-    support = tuple(int(i) for i in np.nonzero(ax > rel_tol * top)[0])
-    signs = tuple(1 if x[i] >= 0 else -1 for i in support)
-    if signs[0] < 0:
-        signs = tuple(-s for s in signs)
-    return SignSupportPattern(support=support, signs=signs)
 
 
 _SIGN_TABLES = {}

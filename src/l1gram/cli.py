@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--trials", type=int, default=20)
     m.add_argument("--seed", type=int, default=1)
     m.add_argument("--c", type=float, default=3.0)
-    m.add_argument("--beta", type=float, default=0.125)
     m.add_argument("--alphas", type=lambda t: [float(x) for x in t.split(",")],
                    default=[0.05, 0.1, 0.2])
     m.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -207,7 +206,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "lemmas":
             rows = run_lemmas(args.n, args.trials, args.seed, c=args.c,
-                              beta=args.beta, alphas=args.alphas)
+                              alphas=args.alphas)
             _emit(rows, args)
             return EXIT_OK
         if args.command == "bounds":

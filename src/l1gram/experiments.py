@@ -1,9 +1,11 @@
 """Experiment suites: decomposition comparisons, ratio scaling, lemma stats.
 
-Each suite expands its (n, trial) grid into cells with seeds base_seed +
-cell_index, evaluates cells (optionally in parallel, capped by the
-L1GRAM_THREADS environment variable) and emits rows in deterministic order
-regardless of completion order.  Only wall_time_ms varies between runs.
+Every suite runs its (n, count-per-n) grid through one expander, _run_grid,
+under one seed rule: cell i, counting through the ns in order, gets seed
+base_seed + i.  Cells run in parallel when the L1GRAM_THREADS environment
+variable allows it, and their rows come out in grid order whatever the
+completion order; each suite then adds its summary rows.  Only wall_time_ms
+varies between runs.
 """
 
 from __future__ import annotations
@@ -21,14 +23,11 @@ import numpy as np
 
 from .bounds import certify_ratio, piplus_witness, rho1_multistart, witness_value_closed_form
 from .decompose import DEFAULT_RULE, PivotRule, eigen_decomposer, greedy_peel
-from .linalg import GramMatrix
 from .randcert import (
-    all_ones,
     bai_yin_stat,
-    circulant_small_offdiag,
+    make_ensemble,
     max_restricted_norm,
     sample_W,
-    sample_wishart,
     shift_to_T,
     tail_bound_curve,
 )
@@ -90,22 +89,37 @@ def write_rows(path_or_file, rows: Sequence[ExperimentRow], fmt: str = "csv") ->
             fh.write(text)
 
 
-def make_compare_matrix(ensemble: str, n: int, seed: int,
-                        eps: Optional[float] = None,
-                        wishart_p: Optional[int] = None) -> GramMatrix:
-    if ensemble == "wishart":
-        return sample_wishart(n, Rng(seed), wishart_p)
-    if ensemble == "circulant":
-        return circulant_small_offdiag(n, eps)
-    if ensemble == "all_ones":
-        return all_ones(n)
-    if ensemble == "diagonal":
-        r = Rng(seed)
-        return GramMatrix._wrap(np.diag(1.0 + r.uniform(n)))
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+def _run_grid(experiment: str, ns: Sequence[int], per_n: int, base_seed: int,
+              run_cell: Callable) -> List:
+    """Run run_cell(n, seed) on every cell of the (n, per_n) grid.
+
+    Cell i gets seed base_seed + i, counting through ns in order and per_n
+    cells per n.  run_cell returns ((quantity, value, method, certificate)
+    rows, extra).  Returns one (n, rows, extras) block per entry of ns, with
+    the ExperimentRows and the extras of its cells in grid order.
+    """
+    if per_n < 1 or any(n < 1 for n in ns):
+        raise ValueError("every n and the count per n must be >= 1")
+    cells = [(n, base_seed + i * per_n + t)
+             for i, n in enumerate(ns) for t in range(per_n)]
+
+    def timed(cell):
+        n, seed = cell
+        t0 = time.perf_counter()
+        rows, extra = run_cell(n, seed)
+        ms = int(1000 * (time.perf_counter() - t0))
+        return [ExperimentRow(experiment, n, seed, q, v, m, c, ms)
+                for q, v, m, c in rows], extra
+
+    blocks = [(n, [], []) for n in ns]
+    for i, (rows, extra) in enumerate(_map_cells(timed, cells)):
+        _, out, extras = blocks[i // per_n]
+        out += rows
+        extras.append(extra)
+    return blocks
 
 
-DEFAULT_COMPARE_RULES = (
+COMPARE_RULES = (
     PivotRule.min_cost_per_trace(),
     PivotRule.max_diagonal(),
     PivotRule.max_trace_removal(),
@@ -113,52 +127,31 @@ DEFAULT_COMPARE_RULES = (
 
 
 def run_compare(ns: Sequence[int], trials: int, ensemble: str, base_seed: int,
-                rules: Sequence[PivotRule] = DEFAULT_COMPARE_RULES,
                 eps: Optional[float] = None) -> List[ExperimentRow]:
     """Eigen cost vs peeling cost per pivot rule, with a win-rate summary.
 
     A trial is a win for peeling when the default rule's cost is strictly
     below the eigendecomposition cost.
     """
-    cells = []
-    idx = 0
-    for n in ns:
-        for _ in range(trials):
-            cells.append((n, base_seed + idx))
-            idx += 1
+    def run_cell(n, seed):
+        A = make_ensemble(ensemble, n, seed, eps)
+        eig = eigen_decomposer(A).total_cost
+        costs = {rule.label(): greedy_peel(A, rule).total_cost
+                 for rule in COMPARE_RULES}
+        rows = [("total_cost", eig, "eigen", "exact")]
+        for label, cost in costs.items():
+            rows += [("total_cost", cost, f"peel({label})", "exact"),
+                     ("cost_ratio", cost / eig, f"peel({label})", "exact")]
+        return rows, costs[DEFAULT_RULE.label()] < eig
 
-    def run_cell(cell):
-        n, seed = cell
-        t0 = time.perf_counter()
-        A = make_compare_matrix(ensemble, n, seed, eps)
-        rows = []
-        eig = eigen_decomposer(A)
-        rows.append(("total_cost", eig.total_cost, "eigen"))
-        peel_costs = {}
-        for rule in rules:
-            dec = greedy_peel(A, rule)
-            peel_costs[rule.label()] = dec.total_cost
-            rows.append(("total_cost", dec.total_cost, f"peel({rule.label()})"))
-            rows.append(("cost_ratio", dec.total_cost / eig.total_cost,
-                         f"peel({rule.label()})"))
-        ms = int(1000 * (time.perf_counter() - t0))
-        default_cost = peel_costs.get(DEFAULT_RULE.label())
-        win = default_cost is not None and default_cost < eig.total_cost
-        return n, seed, rows, ms, win
-
-    results = _map_cells(run_cell, cells)
-    out = []
-    wins = {n: [0, 0] for n in ns}
-    for n, seed, rows, ms, win in results:
-        for quantity, value, method in rows:
-            out.append(ExperimentRow("compare", n, seed, quantity, value,
-                                     method, "exact", ms))
-        wins[n][0] += 1 if win else 0
-        wins[n][1] += 1
+    blocks = _run_grid("compare", ns, trials, base_seed, run_cell)
+    out = [row for _, rows, _ in blocks for row in rows]
+    wins = {n: [] for n in ns}
+    for n, _, won in blocks:
+        wins[n] += won
     for n in ns:
-        won, total = wins[n]
         out.append(ExperimentRow("compare", n, base_seed, "peel_win_rate",
-                                 won / total if total else math.nan,
+                                 sum(wins[n]) / len(wins[n]),
                                  f"peel({DEFAULT_RULE.label()})", "exact", 0))
     return out
 
@@ -191,16 +184,8 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
         raise ValueError(f"unknown scaling mode {mode!r}")
     if mode == "exact" and any(n > n_cap for n in ns):
         raise ValueError(f"exact mode requires all n <= {n_cap}")
-    cells = []
-    idx = 0
-    for n in ns:
-        for _ in range(n_seeds):
-            cells.append((n, base_seed + idx))
-            idx += 1
 
-    def run_cell(cell):
-        n, seed = cell
-        t0 = time.perf_counter()
+    def run_cell(n, seed):
         if mode == "exact":
             cert = certify_ratio(n, seed, c=c, mode="exact", n_cap=n_cap,
                                  restarts=restarts, steps=steps)
@@ -212,44 +197,37 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
                 ("ratio", cert.ratio.lower, cert.ratio.method,
                  cert.ratio.certificate),
             ]
-            ratio = cert.ratio.lower
+            return rows, cert.ratio.lower
+        root = Rng(seed)
+        W = sample_W(n, root.child(0))
+        T = shift_to_T(W)
+        ms_rep = rho1_multistart(T, restarts=restarts, steps=steps,
+                                 rng=root.child(1))
+        rho1_value = ms_rep.lower
+        wit = piplus_witness(W, c) if n >= 2 else None
+        if wit is not None:
+            pi_lower = wit.value
+            pi_method = "witness"
+            pi_cert = "certified_bound" if wit.feasible else "heuristic"
         else:
-            root = Rng(seed)
-            W = sample_W(n, root.child(0))
-            T = shift_to_T(W)
-            ms_rep = rho1_multistart(T, restarts=restarts, steps=steps,
-                                     rng=root.child(1))
-            rho1_value = ms_rep.lower
-            wit = piplus_witness(W, c) if n >= 2 else None
-            if wit is not None:
-                pi_lower = wit.value
-                pi_method = "witness"
-                pi_cert = "certified_bound" if wit.feasible else "heuristic"
-            else:
-                pi_lower = rho1_value  # rank-one witness from the same search
-                pi_method = "rank1_witness"
-                pi_cert = "certified_bound"
-            usable = (wit is not None and wit.feasible
-                      and wit.value > 0.0 and rho1_value > 0.0)
-            ratio = wit.value / rho1_value if usable else math.nan
-            rows = [
-                ("piplus_lower", pi_lower, pi_method, pi_cert),
-                ("rho1_value", rho1_value, "multistart", "heuristic"),
-                ("ratio", ratio, "witness_over_multistart", "heuristic"),
-            ]
-        ms = int(1000 * (time.perf_counter() - t0))
-        return n, seed, rows, ms, ratio
+            pi_lower = rho1_value  # rank-one witness from the same search
+            pi_method = "rank1_witness"
+            pi_cert = "certified_bound"
+        usable = (wit is not None and wit.feasible
+                  and wit.value > 0.0 and rho1_value > 0.0)
+        ratio = wit.value / rho1_value if usable else math.nan
+        rows = [
+            ("piplus_lower", pi_lower, pi_method, pi_cert),
+            ("rho1_value", rho1_value, "multistart", "heuristic"),
+            ("ratio", ratio, "witness_over_multistart", "heuristic"),
+        ]
+        return rows, ratio
 
-    results = _map_cells(run_cell, cells)
-    out = []
-    ratio_ns, ratio_vals = [], []
-    for n, seed, rows, ms, ratio in results:
-        for quantity, value, method, cert in rows:
-            out.append(ExperimentRow("scaling", n, seed, quantity, value,
-                                     method, cert, ms))
-        ratio_ns.append(n)
-        ratio_vals.append(ratio)
-    exponent = fit_loglog_exponent(ratio_ns, ratio_vals)
+    blocks = _run_grid("scaling", ns, n_seeds, base_seed, run_cell)
+    out = [row for _, rows, _ in blocks for row in rows]
+    exponent = fit_loglog_exponent(
+        [n for n, _, ratios in blocks for _ in ratios],
+        [ratio for _, _, ratios in blocks for ratio in ratios])
     method = "loglog_fit" if math.isfinite(exponent) else "loglog_fit_undefined"
     out.append(ExperimentRow("scaling", 0, base_seed, "scaling_exponent",
                              exponent, method, "heuristic", 0))
@@ -257,9 +235,7 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
 
 
 def run_lemmas(ns: Sequence[int], trials: int, base_seed: int, c: float = 3.0,
-               beta: float = 0.125,
-               alphas: Sequence[float] = (0.05, 0.1, 0.2),
-               norm_samples: int = 200) -> List[ExperimentRow]:
+               alphas: Sequence[float] = (0.05, 0.1, 0.2)) -> List[ExperimentRow]:
     """Witness statistics, extreme-eigenvalue ratios and restricted norms.
 
     Per n: the fraction of seeds whose witness is PSD with value >= 1/3, the
@@ -268,36 +244,22 @@ def run_lemmas(ns: Sequence[int], trials: int, base_seed: int, c: float = 3.0,
     restricted norm at each subset fraction alpha next to its failure
     probability bound.
     """
+    def run_cell(n, seed):
+        if n < 2:
+            return [], False
+        wit = piplus_witness(sample_W(n, Rng(seed).child(0)), c)
+        rows = [
+            ("witness_value", wit.value, f"witness(c={c:g})",
+             "certified_bound" if wit.feasible else "heuristic"),
+            ("witness_lambda_min", wit.lambda_min, f"witness(c={c:g})", "exact"),
+        ]
+        return rows, wit.feasible and wit.value >= 1.0 / 3.0
+
     out = []
-    idx = 0
-    for n in ns:
-        seeds = [base_seed + idx + t for t in range(trials)]
-        idx += trials
-
-        def run_cell(seed, n=n):
-            t0 = time.perf_counter()
-            W = sample_W(n, Rng(seed).child(0))
-            rows = []
-            good = False
-            if n >= 2:
-                wit = piplus_witness(W, c)
-                rows.append(("witness_value", wit.value, f"witness(c={c:g})",
-                             "certified_bound" if wit.feasible else "heuristic"))
-                rows.append(("witness_lambda_min", wit.lambda_min,
-                             f"witness(c={c:g})", "exact"))
-                good = wit.feasible and wit.value >= 1.0 / 3.0
-            ms = int(1000 * (time.perf_counter() - t0))
-            return seed, rows, ms, good
-
-        results = _map_cells(run_cell, seeds)
-        n_good = 0
-        for seed, rows, ms, good in results:
-            for quantity, value, method, cert in rows:
-                out.append(ExperimentRow("lemmas", n, seed, quantity, value,
-                                         method, cert, ms))
-            n_good += 1 if good else 0
+    for n, rows, good in _run_grid("lemmas", ns, trials, base_seed, run_cell):
+        out.extend(rows)
         out.append(ExperimentRow("lemmas", n, base_seed, "witness_large_fraction",
-                                 n_good / trials, f"witness(c={c:g})", "exact", 0))
+                                 sum(good) / trials, f"witness(c={c:g})", "exact", 0))
         if n >= 2:
             out.append(ExperimentRow("lemmas", n, base_seed, "witness_limit_value",
                                      1.0 - c / 4.0, "closed_form", "exact", 0))
@@ -316,7 +278,7 @@ def run_lemmas(ns: Sequence[int], trials: int, base_seed: int, c: float = 3.0,
         rng_mc = Rng(base_seed).child(n + 2)
         for alpha in alphas:
             k = max(1, min(n, int(alpha * n)))
-            est = max_restricted_norm(W0, k, mode="auto", samples=norm_samples,
+            est = max_restricted_norm(W0, k, mode="auto", samples=200,
                                       rng=rng_mc.child(k))
             cert = "exact" if est.mode == "exhaustive" else "heuristic"
             out.append(ExperimentRow("lemmas", n, base_seed,
@@ -335,7 +297,6 @@ __all__ = [
     "CSV_FIELDS",
     "ExperimentRow",
     "fit_loglog_exponent",
-    "make_compare_matrix",
     "rows_to_csv_text",
     "run_compare",
     "run_lemmas",

@@ -22,27 +22,6 @@ EXHAUSTIVE_SUBSET_CAP = 10**6
 _STACK_CAP = 1 << 17  # float64 entries per stacked eigvalsh call
 
 
-@dataclass(frozen=True)
-class RandomEnsembleSpec:
-    """Which matrix to draw: kind, size and seed.
-
-    kind is one of rademacher_W, shifted_T, wishart, all_ones, diagonal;
-    wishart uses ``p`` columns (default n), diagonal uses the entries ``d``.
-    """
-
-    kind: str
-    n: int
-    seed: int
-    p: Optional[int] = None
-    d: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kind == "wishart" and self.p is not None and self.p < 1:
-            raise ValueError("wishart p must be >= 1")
-
-
 def sample_W(n: int, rng: Rng) -> GramMatrix:
     """Hollow symmetric +-1 matrix, deterministic per seed."""
     if n < 1:
@@ -81,10 +60,6 @@ def all_ones(n: int) -> GramMatrix:
     return GramMatrix._wrap(np.ones((n, n)))
 
 
-def diagonal(d) -> GramMatrix:
-    return GramMatrix._wrap(np.diag(np.asarray(d, dtype=np.float64)))
-
-
 def circulant_small_offdiag(n: int, eps: Optional[float] = None) -> GramMatrix:
     """Circulant with unit diagonal and eps on the two wrapped off-diagonals."""
     if eps is None:
@@ -97,21 +72,29 @@ def circulant_small_offdiag(n: int, eps: Optional[float] = None) -> GramMatrix:
     return GramMatrix._wrap((a + a.T) / 2.0)
 
 
-def make_ensemble(spec: RandomEnsembleSpec) -> GramMatrix:
-    rng = Rng(spec.seed)
-    if spec.kind == "rademacher_W":
-        return sample_W(spec.n, rng)
-    if spec.kind == "shifted_T":
-        return build_T(spec.n, rng)
-    if spec.kind == "wishart":
-        return sample_wishart(spec.n, rng, spec.p)
-    if spec.kind == "all_ones":
-        return all_ones(spec.n)
-    if spec.kind == "diagonal":
-        if spec.d is None:
-            raise ValueError("diagonal ensemble requires entries d")
-        return diagonal(spec.d)
-    raise ValueError(f"unknown ensemble kind {spec.kind!r}")
+def make_ensemble(kind: str, n: int, seed: int,
+                  eps: Optional[float] = None) -> GramMatrix:
+    """One n x n draw of an ensemble, deterministic per seed.
+
+    kind is one of rademacher_W, shifted_T, wishart (n columns), circulant
+    (off-diagonal eps, see circulant_small_offdiag), all_ones, or diagonal
+    (entries 1 + U[0, 1)).  eps is read by circulant only.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind == "rademacher_W":
+        return sample_W(n, Rng(seed))
+    if kind == "shifted_T":
+        return build_T(n, Rng(seed))
+    if kind == "wishart":
+        return sample_wishart(n, Rng(seed))
+    if kind == "circulant":
+        return circulant_small_offdiag(n, eps)
+    if kind == "all_ones":
+        return all_ones(n)
+    if kind == "diagonal":
+        return GramMatrix._wrap(np.diag(1.0 + Rng(seed).uniform(n)))
+    raise ValueError(f"unknown ensemble {kind!r}")
 
 
 @dataclass
@@ -219,16 +202,14 @@ class KappaEstimate:
 
     ``degenerate`` marks the regime beta * sqrt(n) < 1 where already every
     pair of indices violates the bound (any 2x2 principal submatrix of a
-    hollow +-1 matrix has norm 1), so alpha < 2/n.  ``exhaustive`` says every
-    probed size was scanned exhaustively (so alpha itself is exact);
-    ``restricted_exhaustive`` says the norm at the returned k is exact, which
-    is what certifies bounds built from (alpha, restricted_norm).
+    hollow +-1 matrix has norm 1), so alpha < 2/n.  ``restricted_exhaustive``
+    says the norm at the returned k is exact, which is what certifies bounds
+    built from (alpha, restricted_norm).
     """
 
     alpha: float
     k: int
     beta: float
-    exhaustive: bool
     degenerate: bool
     restricted_norm: float
     restricted_exhaustive: bool = False
@@ -273,23 +254,15 @@ def estimate_kappa_for(W, beta: float, rng: Rng, budget: int = 2000) -> KappaEst
         else:
             hi = mid
     est = norm_at(lo)
-    all_exhaustive = all(e.mode == "exhaustive" for e in cache.values())
     degenerate = n >= 2 and target < 1.0
     return KappaEstimate(
         alpha=lo / n,
         k=lo,
         beta=beta,
-        exhaustive=all_exhaustive,
         degenerate=degenerate,
         restricted_norm=est.value,
         restricted_exhaustive=est.mode == "exhaustive",
     )
-
-
-def estimate_kappa(n: int, beta: float, rng: Rng, budget: int = 2000) -> KappaEstimate:
-    """Sample a fresh W and estimate the admissible subset fraction."""
-    w = sample_W(n, rng.child(0))
-    return estimate_kappa_for(w, beta, rng.child(1), budget)
 
 
 def tail_bound_curve(alpha: float, n: int) -> float:

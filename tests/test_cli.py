@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from l1gram.experiments import (
     fit_loglog_exponent,
     rows_to_csv_text,
     run_compare,
+    run_lemmas,
     run_scaling,
 )
 
@@ -176,18 +178,89 @@ class TestBoundsCommand:
         assert reports[0]["method"] == "multistart"
 
 
+SUITES = {
+    "compare": lambda: run_compare([5], 6, "wishart", 3),
+    "scaling-exact": lambda: run_scaling([4, 5], 3, 3, mode="exact"),
+    "scaling-heuristic": lambda: run_scaling([20, 30], 2, 4, mode="heuristic",
+                                             restarts=4, steps=50),
+    "lemmas": lambda: run_lemmas([1, 8, 12], 3, 5, c=1.5),
+}
+
+
+def strip_rows(rows):
+    return [(r.experiment, r.n, r.seed, r.quantity, r.value, r.method,
+             r.certificate) for r in rows]
+
+
 class TestThreadEnvVariable:
-    def test_parallel_rows_match_serial(self, tmp_path, monkeypatch):
-        serial = run_compare([5], 6, "wishart", 3)
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_parallel_rows_match_serial(self, suite, monkeypatch):
+        serial = SUITES[suite]()
         monkeypatch.setenv("L1GRAM_THREADS", "4")
-        parallel = run_compare([5], 6, "wishart", 3)
-        strip = lambda rows: [(r.experiment, r.n, r.seed, r.quantity, r.value,
-                               r.method, r.certificate) for r in rows]
-        assert strip(serial) == strip(parallel)
+        parallel = SUITES[suite]()
+        assert strip_rows(serial) == strip_rows(parallel)
+
+
+def rows_digest(rows):
+    items = [(r.experiment, r.n, r.seed, r.quantity, repr(float(r.value)),
+              r.method, r.certificate) for r in rows]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+FROZEN_RUNS = {
+    "compare-wishart": lambda: run_compare([5, 7], 3, "wishart", 11),
+    "compare-circulant": lambda: run_compare([5, 7], 3, "circulant", 11),
+    "compare-all_ones": lambda: run_compare([5, 7], 3, "all_ones", 11),
+    "compare-diagonal": lambda: run_compare([5, 7], 3, "diagonal", 11),
+    "scaling-exact": lambda: run_scaling([4, 5, 6], 2, 3, mode="exact"),
+    "scaling-heuristic": lambda: run_scaling([30, 40], 2, 4, mode="heuristic",
+                                             restarts=4, steps=50),
+    "lemmas": lambda: run_lemmas([8, 12, 30], 3, 5, c=1.5),
+}
+FROZEN_DIGESTS = {
+    "compare-wishart":
+        "35e44837428975e7842e8a027d122508726d7fe937641e8631d97de72b7a2cc2",
+    "compare-circulant":
+        "b6dcf169f546027e826558d271c49d7220fe5f573d1fc94ccc194613f5cfcd34",
+    "compare-all_ones":
+        "e9762799679a516b68248c334368584711dc0cba4447f6dd745fb269933fa074",
+    "compare-diagonal":
+        "f82e9d81298cfd7d1e087334d0f5ccdba92778ec53edb1e918c54298e11ed9fb",
+    "scaling-exact":
+        "2a40d68079aa87e1f2373ad8b0ee482285799b23a30411fa8bc042340997217e",
+    "scaling-heuristic":
+        "f44595c7afaab22451c0ac1444b1f1e034e7c589c3443b3ca2eec29b965a3ca4",
+    "lemmas":
+        "ff3e8d0016db27ba137cf04d8ee914c7b7a233e3701f23bc88a63c987a1429f7",
+}
+
+
+class TestFrozenExperiments:
+    """SHA-256 of experiment rows (wall_time_ms dropped, values by repr),
+    recorded before the suites shared one grid expander and one ensemble
+    factory."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("run", sorted(FROZEN_RUNS))
+    def test_rows_digest(self, run, threads, monkeypatch):
+        monkeypatch.setenv("L1GRAM_THREADS", threads)
+        assert rows_digest(FROZEN_RUNS[run]()) == FROZEN_DIGESTS[run]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "--n", "12", "--trials", "0"],
+    ["compare", "--n", "0", "--ensemble", "circulant"],
+    ["compare", "--trials", "-3"],
+    ["scaling", "--seeds", "-1"],
+], ids=["lemmas-trials0", "compare-n0", "compare-trials-3", "scaling-seeds-1"])
+def test_grid_counts_below_one_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certificate_tags_consistent_with_methods():
-    from l1gram.experiments import run_lemmas
     rows = (run_compare([5], 3, "wishart", 2)
             + run_scaling([4, 5], 2, 3, mode="exact")
             + run_scaling([30], 2, 4, mode="heuristic", restarts=4, steps=50)
@@ -202,7 +275,6 @@ def test_certificate_tags_consistent_with_methods():
 
 
 def test_row_keys_unique_within_each_run():
-    from l1gram.experiments import run_lemmas
     for rows in (run_compare([5, 6], 3, "wishart", 2),
                  run_scaling([4, 5], 3, 3, mode="exact"),
                  run_lemmas([8, 12], 3, 5, c=1.5)):

@@ -6,14 +6,11 @@ import pytest
 
 from l1gram import (
     GramMatrix,
-    RandomEnsembleSpec,
     Rng,
     all_ones,
     bai_yin_stat,
     build_T,
     circulant_small_offdiag,
-    diagonal,
-    estimate_kappa,
     estimate_kappa_for,
     make_ensemble,
     max_restricted_norm,
@@ -73,7 +70,9 @@ class TestEnsembles:
 
     def test_all_ones_and_diagonal(self):
         assert np.array_equal(all_ones(3).entries, np.ones((3, 3)))
-        assert np.array_equal(diagonal([1.0, 2.0]).entries, np.diag([1.0, 2.0]))
+        A = make_ensemble("diagonal", 4, 9).entries
+        assert np.array_equal(A, np.diag(np.diag(A)))
+        assert np.all((1.0 <= np.diag(A)) & (np.diag(A) < 2.0))
 
     def test_circulant_default_eps(self):
         A = circulant_small_offdiag(6).entries
@@ -82,13 +81,23 @@ class TestEnsembles:
         assert A[0, 5] == pytest.approx(1.0 / 12.0)  # wraps
 
     def test_make_ensemble_dispatch(self):
-        for kind in ("rademacher_W", "shifted_T", "wishart", "all_ones"):
-            A = make_ensemble(RandomEnsembleSpec(kind, 5, 1))
-            assert A.n == 5
-        A = make_ensemble(RandomEnsembleSpec("diagonal", 3, 1, d=(1.0, 2.0, 3.0)))
-        assert np.array_equal(A.entries, np.diag([1.0, 2.0, 3.0]))
+        expected = {
+            "rademacher_W": sample_W(5, Rng(1)),
+            "shifted_T": build_T(5, Rng(1)),
+            "wishart": sample_wishart(5, Rng(1)),
+            "circulant": circulant_small_offdiag(5, 0.3),
+            "all_ones": all_ones(5),
+            "diagonal": GramMatrix(np.diag(1.0 + Rng(1).uniform(5))),
+        }
+        for kind, ref in expected.items():
+            A = make_ensemble(kind, 5, 1, eps=0.3)
+            assert np.array_equal(A.entries, ref.entries), kind
+        assert np.array_equal(make_ensemble("circulant", 5, 1).entries,
+                              circulant_small_offdiag(5).entries)
         with pytest.raises(ValueError):
-            make_ensemble(RandomEnsembleSpec("nope", 3, 1))
+            make_ensemble("nope", 3, 1)
+        with pytest.raises(ValueError):
+            make_ensemble("all_ones", 0, 1)
 
 
 class TestBaiYin:
@@ -197,18 +206,22 @@ class TestBatchedScan:
 
 class TestEstimateKappa:
     def test_degenerate_small_n(self):
-        est = estimate_kappa(16, 0.125, Rng(5))
+        rng = Rng(5)
+        est = estimate_kappa_for(sample_W(16, rng.child(0)), 0.125, rng.child(1))
         assert est.degenerate
         assert est.alpha < 2.0 / 16.0
         assert est.k == 1
 
     def test_monotone_in_beta_same_seed(self):
-        lo = estimate_kappa(64, 0.125, Rng(5))
-        hi = estimate_kappa(64, 0.25, Rng(5))
+        rng = Rng(5)
+        W = sample_W(64, rng.child(0))
+        lo = estimate_kappa_for(W, 0.125, rng.child(1))
+        hi = estimate_kappa_for(W, 0.25, rng.child(1))
         assert hi.alpha >= lo.alpha
 
     def test_bound_holds_at_returned_k(self):
-        est = estimate_kappa(64, 0.25, Rng(8))
+        rng = Rng(8)
+        est = estimate_kappa_for(sample_W(64, rng.child(0)), 0.25, rng.child(1))
         assert est.restricted_norm <= 0.25 * 8.0 + 1e-12
 
     def test_requires_hollow(self):
@@ -216,7 +229,8 @@ class TestEstimateKappa:
             estimate_kappa_for(GramMatrix.identity(4), 0.125, Rng(1))
 
     def test_all_sizes_qualify_with_huge_beta(self):
-        est = estimate_kappa(12, 100.0, Rng(2))
+        rng = Rng(2)
+        est = estimate_kappa_for(sample_W(12, rng.child(0)), 100.0, rng.child(1))
         assert est.k == 12 and est.alpha == 1.0
 
 
