@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -30,12 +30,14 @@ from .linalg import (
     operator_norm,
     project_l1_sphere,
 )
-from .randcert import estimate_kappa_for, sample_W, shift_to_T
+from .randcert import _STACK_CAP, estimate_kappa_for, sample_W, shift_to_T
 from .rng import Rng
 
 CERTIFICATE_RANK = {"exact": 2, "certified_bound": 1, "heuristic": 0}
 
-DEFAULT_N_CAP = 12  # about 3^12 / 2 stationarity systems, sub-minute
+# (3^n - 1)/2 - n stationarity systems: 265,708 at n = 12, about 0.4-0.5 s
+# warm on one core (1.5 s at n = 13, 5-6 s at n = 14)
+DEFAULT_N_CAP = 12
 
 
 def weaker_certificate(*certs: str) -> str:
@@ -86,38 +88,6 @@ def _sign_table(k: int) -> np.ndarray:
     return _SIGN_TABLES[k]
 
 
-def _stationary_candidates(M: np.ndarray) -> tuple:
-    """Best interior stationary value over a stack of sign-flipped blocks.
-
-    For each M_j the stationary point on the simplex solves M y = const * 1
-    with sum(y) = 1; only strictly positive solutions are kept, and the value
-    is re-evaluated as y^T M y so any ill-conditioned solve can only produce
-    a genuine feasible value or be rejected.
-    """
-    m, k, _ = M.shape
-    ones = np.ones((m, k, 1))
-    try:
-        w = np.linalg.solve(M, ones)[..., 0]
-    except np.linalg.LinAlgError:
-        w = np.full((m, k), np.nan)
-        rhs = np.ones(k)
-        for j in range(m):
-            try:
-                w[j] = np.linalg.solve(M[j], rhs)
-            except np.linalg.LinAlgError:
-                continue
-    sums = w.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        y = w / sums[:, None]
-    feas = np.isfinite(y).all(axis=1) & (y > 0.0).all(axis=1)
-    if not feas.any():
-        return None, None
-    yf = y[feas]
-    vals = np.einsum("mi,mij,mj->m", yf, M[feas], yf)
-    j = int(np.argmax(vals))
-    return float(vals[j]), (np.nonzero(feas)[0][j], yf[j])
-
-
 def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
     """Exact rho1 by enumerating every sign/support pattern.
 
@@ -127,6 +97,20 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
     maximum over candidates is the exact value (floored at 0, attained by
     x = 0).  Singular stationarity systems are skipped: their maximizers
     live on faces enumerated separately.
+
+    For support block S and sign row s, D = diag(s), the stationary point
+    solves (D S D) y = const * 1 with sum(y) = 1.  Only strictly positive
+    solutions are kept, and the value is re-evaluated as x^T S x with
+    x = s * y, so an ill-conditioned solve can only produce a genuine
+    feasible value or be rejected.  The supports of one size are priced in
+    chunks of at most _STACK_CAP float64 block entries (or one support),
+    with one stacked solve per chunk in which every sign row is its own
+    single right-hand side against the unflipped block.  Sign flips are
+    exact, and partial pivoting picks the same pivots on D S D as on S, so
+    solve(D S D, 1) = s * solve(S, s) bit for bit; a singular S makes every
+    D S D singular.  Value and witness are therefore bit-identical to
+    solving each sign-flipped block on its own, and ties go to the first
+    pattern in enumeration order.
     """
     arr = as_matrix_array(T)
     n = arr.shape[0]
@@ -145,15 +129,42 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
         best_x[i_star] = 1.0
     for k in range(2, n + 1):
         signs = _sign_table(k)
-        for support in combinations(range(n), k):
-            sub = arr[np.ix_(support, support)]
-            M = signs[:, :, None] * signs[:, None, :] * sub
-            val, info = _stationary_candidates(M)
-            if val is not None and val > best:
-                best = val
-                j, y = info
+        m = signs.shape[0]
+        supports = combinations(range(n), k)
+        rows = max(1, _STACK_CAP // (m * k * k))
+        while True:
+            idx = np.fromiter(islice(supports, rows), dtype=(np.intp, k))
+            c = idx.shape[0]
+            if c == 0:
+                break
+            S = arr[idx[:, :, None], idx[:, None, :]]
+            blocks = np.broadcast_to(S[:, None], (c, m, k, k))
+            rhs = np.broadcast_to(signs[:, :, None], (c, m, k, 1))
+            try:
+                v = np.linalg.solve(blocks, rhs)[..., 0]
+            except np.linalg.LinAlgError:
+                # a singular support: price the chunk one support at a time
+                v = np.full((c, m, k), np.nan)
+                for i in range(c):
+                    try:
+                        v[i] = np.linalg.solve(blocks[i], rhs[i])[..., 0]
+                    except np.linalg.LinAlgError:
+                        continue
+            w = (signs * v).reshape(c * m, k)  # solve(D S D, 1) per pattern
+            sums = w.sum(axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                y = w / sums[:, None]
+            ok = np.isfinite(y).all(axis=1) & (y > 0.0).all(axis=1)
+            feas = np.nonzero(ok)[0]
+            if feas.size == 0:
+                continue
+            x = signs[feas % m] * y[feas]
+            vals = np.einsum("mi,mij,mj->m", x, S[feas // m], x)
+            j = int(np.argmax(vals))
+            if vals[j] > best:
+                best = float(vals[j])
                 best_x = np.zeros(n)
-                best_x[list(support)] = signs[j] * y
+                best_x[idx[feas[j] // m]] = x[j]
     return BoundReport(
         quantity="rho1",
         lower=best,

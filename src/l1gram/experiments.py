@@ -98,8 +98,9 @@ def _run_grid(experiment: str, ns: Sequence[int], per_n: int, base_seed: int,
     rows, extra).  Returns one (n, rows, extras) block per entry of ns, with
     the ExperimentRows and the extras of its cells in grid order.
     """
-    if per_n < 1 or any(n < 1 for n in ns):
-        raise ValueError("every n and the count per n must be >= 1")
+    if not ns or per_n < 1 or any(n < 1 for n in ns):
+        raise ValueError(
+            "need at least one n, and every n and the count per n must be >= 1")
     cells = [(n, base_seed + i * per_n + t)
              for i, n in enumerate(ns) for t in range(per_n)]
 

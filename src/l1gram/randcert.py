@@ -19,7 +19,7 @@ from .linalg import GramMatrix, as_matrix_array, max_eigenvalue
 from .rng import Rng
 
 EXHAUSTIVE_SUBSET_CAP = 10**6
-_STACK_CAP = 1 << 17  # float64 entries per stacked eigvalsh call
+_STACK_CAP = 1 << 17  # float64 block entries per stacked eigvalsh or solve call
 
 
 def sample_W(n: int, rng: Rng) -> GramMatrix:

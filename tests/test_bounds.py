@@ -1,4 +1,6 @@
+import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -113,6 +115,129 @@ class TestRho1Exact:
         assert abs(np.abs(x).sum() - 1.0) <= 1e-9 or rep.upper == 0.0
         assert float(x @ A.entries @ x) == pytest.approx(rep.upper, rel=1e-9)
 
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_sign_flip_solve_identity(k):
+    # rho1_exact prices D S D through S: solve(D S D, 1) = s * solve(S, s)
+    # must hold bit for bit, one single right-hand side per sign row
+    S = build_T(12, Rng(77)).entries[:k, :k]
+    signs = np.array([(1.0,) + t for t in product((1.0, -1.0), repeat=k - 1)])
+    flipped = np.linalg.solve(signs[:, :, None] * signs[:, None, :] * S,
+                              np.ones((len(signs), k, 1)))
+    through_S = signs * np.linalg.solve(
+        np.broadcast_to(S, (len(signs), k, k)), signs[:, :, None])[..., 0]
+    assert np.array_equal(flipped[..., 0], through_S)
+
+
+def _rank2_psd(n, seed):
+    g = Rng(seed).normal(2 * n).reshape(n, 2)
+    return GramMatrix(g @ g.T)
+
+
+# Every rho1_exact code path: regular supports at n = 1..12 (chunk
+# boundaries at every support size), supports that are all singular
+# (all-ones), singular and regular supports mixed in one chunk (rank 2), and
+# the zero matrix (no candidate beats the floor).
+FROZEN_RHO1_INPUTS = {
+    **{f"gauss{n}": (lambda n=n: random_symmetric(n, 1000 + n))
+       for n in range(1, 13)},
+    **{f"T{n}": (lambda n=n: build_T(n, Rng(2000 + n))) for n in range(2, 13)},
+    **{f"W{n}": (lambda n=n: sample_W(n, Rng(3000 + n))) for n in range(2, 13)},
+    "ones5": lambda: GramMatrix(np.ones((5, 5))),
+    "ones12": lambda: GramMatrix(np.ones((12, 12))),
+    "rank2psd10": lambda: _rank2_psd(10, 4010),
+    "zero3": lambda: GramMatrix(np.zeros((3, 3))),
+}
+FROZEN_RHO1 = {
+    "T10":
+        "8bc4ac33b0ae915ff7b62b652b1f035f2a1d1280b69e1852e21f3fe5f4aca521",
+    "T11":
+        "f181a2e19fa83f9a6517752017a72dea78a9073558595d8df89d5100cd58ef78",
+    "T12":
+        "c7b1462884cc103848e37edb8567ac60668ab098a0612c69023747b769f24143",
+    "T2":
+        "8d2294503fbc8af9061787bbf6805846f43d09b8fd53f9fa4ba940219524e686",
+    "T3":
+        "a3b6c05cdc338cea8d1fc746f27534bcec269794a83c014ffbb6a9916508bf99",
+    "T4":
+        "9419f931751bb3ff91ecb1df40f81db490cc9f5f9b720e07020c91a3f389b59c",
+    "T5":
+        "c0ecd019e5d7eaf3afedc57a5e768a88e11d246cc6da33145f55d456bf1addd3",
+    "T6":
+        "9c443c84bd0ded3a7a8e54ddf3ee8fa999bb5e79ab62c510bf3fa91929bedbb8",
+    "T7":
+        "6bbb1f7a04bad1dfc7f96a95d82e7b7a710e48cd64e1b0f80208eb2e8d0bf971",
+    "T8":
+        "5ee05572a1c463c796492330fafdb5ecb6253782e99165137ca5f9e4581339bf",
+    "T9":
+        "b2cd5d2e1012e07262656398e608875a09041a75b05e15f8136c041c169a2478",
+    "W10":
+        "bbf246bb4dba8823e1a09630100b8a6d0c48893b2b687e4c5e0f20a647b4b803",
+    "W11":
+        "7e757b997e20d9ba4df5d8ba85474d6e5bf1a53302b16f5de899a766a5bc4046",
+    "W12":
+        "e839123bd918d36bd752ba41a21de340c65f8a46ba3ee0ac350c312d545076a7",
+    "W2":
+        "18bbc0b4e318feea5036647ca02d8eb162810b678e3474d489fd5657aa6dcdfe",
+    "W3":
+        "ddc69a58e3cecf9526ef5bb4b7a6ac23d6e74aa5f9a6a7e60c578c3f76807a7d",
+    "W4":
+        "99763cfebb47325acb7f61c132ceee7baf1cfa15fb9168aa5be51832640037a8",
+    "W5":
+        "cfc0338328f09af270d846619c30d8f45ad406eb2efe1a6ec1183b5091e054ec",
+    "W6":
+        "4ae67e4623bbf689f7871b0a4a2aa17f236c73ddb9602182528e6f970e83dfd7",
+    "W7":
+        "875d906e465e81d6684dd80cd10ea283ad05337d88c8b4eb48a7eac7dd9ee6c3",
+    "W8":
+        "c82b4e016284dc70f209b279c6481924ef4fdb37af39eefc65cb0e4ffec654fc",
+    "W9":
+        "45ac5dd95ef0b48408f49f4e105245c14a5c1ff047d50c8b9aa7a0cf02220f12",
+    "gauss1":
+        "aeb68617492933423c27bc9132a3a21c98e7f1c4d972ce871575d1992eac90d4",
+    "gauss10":
+        "6d2a6dfc8331e31a24308f820a2c4205808ffa0af9bff40e35fa8806104aa7bc",
+    "gauss11":
+        "7f91cca4e4fedc3567800ca231c3b70f8175e043a2b87641ecf116d80f8668a3",
+    "gauss12":
+        "d2f75bf061fbc1bda8dbfaeb70caea24cc449b8354dbb77d52fcc2bccb917495",
+    "gauss2":
+        "2dab27fdd8ee49f30f87bb83f976e97f16c615e124069bfd253ece0fe5fc442f",
+    "gauss3":
+        "b3975bfa1f6e1259963db2225881334882cd69303a9f344ad0136c98f489082d",
+    "gauss4":
+        "d3b1bd37f380ec4e444bd4b13f5a2e66dc61d9d91a23202ec244e92910baf2a4",
+    "gauss5":
+        "55e88a5f4f816cf6cf3d16da743a515fc32eaa3705bc6368ecc523c555746e06",
+    "gauss6":
+        "416ab1040f3f60bdcc10bc84e50897836c1151aff755873b7588534a4d91a7a4",
+    "gauss7":
+        "96e131b561c43d0ebba676d1eb0483b4cb900fe4555b9aa8d5c36768998e39c6",
+    "gauss8":
+        "cc0c8fb86f5770ad5137c05903a270b0e8a831a099517bbc55637285bbc652f7",
+    "gauss9":
+        "78aec82d57af00a6e55edd6efe36dc02c00ce29a65c4fa70c814e26b215c5029",
+    "ones12":
+        "0758f001b1bcbd0058be30ccacf4428b4d1c322bca7e2a59c332910fb68319b1",
+    "ones5":
+        "53da6655018a6ed252f945e16e7c534609feac059ac229304c98d4ddaa9a14d4",
+    "rank2psd10":
+        "47deab36372249c7aef0fb7371d275e6f6961d1e320d9a608a5aba609c671777",
+    "zero3":
+        "743721fe9a550a339e476ccf7d50dc6a6c07007da354034fb95eb151f5102776",
+}
+
+
+class TestRho1ExactFrozen:
+    """SHA-256 of repr(value) and the witness bytes, recorded before the
+    supports of one size were stacked into shared solves."""
+
+    @pytest.mark.parametrize("key", sorted(FROZEN_RHO1_INPUTS))
+    def test_digest(self, key):
+        rep = rho1_exact(FROZEN_RHO1_INPUTS[key]())
+        h = hashlib.sha256(repr(rep.upper).encode())
+        h.update(rep.witness.tobytes())
+        assert h.hexdigest() == FROZEN_RHO1[key]
 
 class TestRho1Multistart:
     def test_identity_five(self):

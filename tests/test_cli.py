@@ -252,7 +252,11 @@ class TestFrozenExperiments:
     ["compare", "--n", "0", "--ensemble", "circulant"],
     ["compare", "--trials", "-3"],
     ["scaling", "--seeds", "-1"],
-], ids=["lemmas-trials0", "compare-n0", "compare-trials-3", "scaling-seeds-1"])
+    ["compare", "--n", ""],
+    ["scaling", "--n", ","],
+    ["lemmas", "--n", ""],
+], ids=["lemmas-trials0", "compare-n0", "compare-trials-3", "scaling-seeds-1",
+        "compare-n-empty", "scaling-n-comma", "lemmas-n-empty"])
 def test_grid_counts_below_one_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--out", str(out)]) == 2
