@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import (
     GramMatrix,
+    _project_l1_rows,
     as_matrix_array,
     max_eigenvalue,
     operator_norm,
@@ -88,6 +89,15 @@ def _sign_table(k: int) -> np.ndarray:
     return _SIGN_TABLES[k]
 
 
+def _solve_sign_rows(S: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """solve(S_i, s) for every (c, k, k) block S_i and sign row s, shape
+    (c, m, k): one stacked call, each sign row its own right-hand side."""
+    c, k, _ = S.shape
+    m = signs.shape[0]
+    return np.linalg.solve(np.broadcast_to(S[:, None], (c, m, k, k)),
+                           np.broadcast_to(signs[:, :, None], (c, m, k, 1)))[..., 0]
+
+
 def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
     """Exact rho1 by enumerating every sign/support pattern.
 
@@ -110,7 +120,10 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
     solve(D S D, 1) = s * solve(S, s) bit for bit; a singular S makes every
     D S D singular.  Value and witness are therefore bit-identical to
     solving each sign-flipped block on its own, and ties go to the first
-    pattern in enumeration order.
+    pattern in enumeration order.  When a chunk's solve raises, one slogdet
+    over its unflipped blocks finds the singular supports (sign 0 exactly
+    where LU meets the zero pivot the solve raised on), and the regular
+    ones are solved again in one call.
     """
     arr = as_matrix_array(T)
     n = arr.shape[0]
@@ -138,18 +151,13 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
             if c == 0:
                 break
             S = arr[idx[:, :, None], idx[:, None, :]]
-            blocks = np.broadcast_to(S[:, None], (c, m, k, k))
-            rhs = np.broadcast_to(signs[:, :, None], (c, m, k, 1))
             try:
-                v = np.linalg.solve(blocks, rhs)[..., 0]
+                v = _solve_sign_rows(S, signs)
             except np.linalg.LinAlgError:
-                # a singular support: price the chunk one support at a time
+                # singular supports get no candidate
                 v = np.full((c, m, k), np.nan)
-                for i in range(c):
-                    try:
-                        v[i] = np.linalg.solve(blocks[i], rhs[i])[..., 0]
-                    except np.linalg.LinAlgError:
-                        continue
+                regular = np.linalg.slogdet(S)[0] != 0.0
+                v[regular] = _solve_sign_rows(S[regular], signs)
             w = (signs * v).reshape(c * m, k)  # solve(D S D, 1) per pattern
             sums = w.sum(axis=1)
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -175,27 +183,6 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
     )
 
 
-def _ascent_from(arr: np.ndarray, x0: np.ndarray, steps: int,
-                 step0: float) -> tuple:
-    """Projected gradient ascent on the l1 sphere from one starting point."""
-    x = x0
-    g = arr @ x
-    f = float(x @ g)
-    eta = step0
-    for _ in range(steps):
-        cand = project_l1_sphere(x + (2.0 * eta) * g)
-        gc = arr @ cand
-        fc = float(cand @ gc)
-        if fc > f + 1e-15 * abs(f):
-            x, g, f = cand, gc, fc
-            eta = min(eta * 2.0, step0)
-        else:
-            eta *= 0.5
-            if eta < 1e-16 * step0:
-                break
-    return f, x
-
-
 def rho1_multistart(T, restarts: int = 64, steps: int = 500,
                     rng: Optional[Rng] = None,
                     restart_indices=None) -> BoundReport:
@@ -206,22 +193,54 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
     objective found, which is a genuine feasible value and so never exceeds
     the true rho1.  Restart r draws its start from rng.child(r), so any
     split of the restart index range reproduces the serial result.
+
+    The restarts advance together as the rows of one (restarts, n) array,
+    each with its own step size and accept test; a row leaves the active
+    set once its step size underflows.  A step makes one stacked gradient
+    matmul(T, X[:, :, None]), one row-wise l1-sphere projection and one
+    stacked value matmul(X[:, None, :], G[:, :, None]).  numpy prices each
+    row of a stacked matmul with the same BLAS gemv (gradient) and dot
+    (value) that T @ x and x @ g use on one vector, and the projection
+    reduces along contiguous rows, so every row follows its restart's lone
+    ascent bit for bit; the active rows are gathered by fancy indexing to
+    stay C-contiguous, since numpy falls back to a non-BLAS loop otherwise.
+    A single gemm X @ T would be faster for large n but rounds differently
+    from gemv, and would tie a row's bits to the batch around it.
     """
     if rng is None:
         raise ValueError("rho1_multistart requires an rng")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     arr = as_matrix_array(T)
     n = arr.shape[0]
     step0 = 1.0 / math.sqrt(n)
-    best = 0.0
-    best_x = np.zeros(n)
     indices = range(restarts) if restart_indices is None else restart_indices
-    for r in indices:
-        x0 = project_l1_sphere(rng.child(r).normal(n))
-        f, x = _ascent_from(arr, x0, steps, step0)
-        if f > best:
-            best, best_x = f, x
+    starts = [project_l1_sphere(rng.child(r).normal(n)) for r in indices]
+    X = np.array(starts, dtype=np.float64).reshape(len(starts), n)
+    G = np.matmul(arr, X[:, :, None])[..., 0]
+    f = np.matmul(X[:, None, :], G[:, :, None])[:, 0, 0]
+    eta = np.full(f.size, step0)
+    live = np.arange(f.size)
+    for _ in range(steps):
+        if live.size == 0:
+            break
+        e, fl = eta[live], f[live]
+        cand = _project_l1_rows(X[live] + (2.0 * e)[:, None] * G[live])
+        gc = np.matmul(arr, cand[:, :, None])[..., 0]
+        fc = np.matmul(cand[:, None, :], gc[:, :, None])[:, 0, 0]
+        up = fc > fl + 1e-15 * np.abs(fl)
+        rows = live[up]
+        X[rows], G[rows], f[rows] = cand[up], gc[up], fc[up]
+        e = np.where(up, np.minimum(e * 2.0, step0), e * 0.5)
+        eta[live] = e
+        live = live[up | (e >= 1e-16 * step0)]
+    best, best_x = 0.0, np.zeros(n)
+    if np.any(f > 0.0):
+        # the first restart in index order with the largest positive value
+        j = int(np.argmax(np.where(f > 0.0, f, 0.0)))
+        best, best_x = float(f[j]), X[j].copy()
     return BoundReport(
         quantity="rho1",
         lower=best,

@@ -150,24 +150,41 @@ def project_l1_sphere(x) -> np.ndarray:
     """Project onto the unit l1 sphere {y : ||y||_1 = 1}.
 
     Points outside the unit l1 ball get the Euclidean ball projection
-    (sort-and-threshold on |x| with signs restored), which lands on the
-    sphere; points strictly inside are rescaled to unit l1 norm.
+    (sort-and-threshold on |x| with signs restored; Duchi et al., ICML
+    2008), which lands on the sphere; points strictly inside are rescaled
+    to unit l1 norm.  The zero or a non-finite vector raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("expected a vector")
-    norm1 = np.abs(x).sum()
-    if norm1 == 0.0 or not np.isfinite(norm1):
+    return _project_l1_rows(x[None, :])[0]
+
+
+def _project_l1_rows(x: np.ndarray) -> np.ndarray:
+    """project_l1_sphere applied to every row of the (m, n) array x.
+
+    Every reduction runs along the contiguous last axis, so each row of a
+    C-contiguous x comes out bit for bit as it would alone.
+    """
+    a = np.abs(x)
+    norm1 = a.sum(axis=1)
+    if not np.all(np.isfinite(norm1) & (norm1 != 0.0)):
         raise ValueError("cannot project the zero (or non-finite) vector")
-    if norm1 <= 1.0:
-        return x / norm1
-    u = np.sort(np.abs(x))[::-1]
-    cumsum = np.cumsum(u)
-    ks = np.arange(1, x.size + 1)
-    rho = np.nonzero(u * ks > cumsum - 1.0)[0][-1]
-    theta = (cumsum[rho] - 1.0) / (rho + 1.0)
-    y = np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
-    s = np.abs(y).sum()
-    if s != 1.0:  # kill the last ulp of threshold roundoff
-        y /= s
+    y = x / norm1[:, None]
+    out = norm1 > 1.0
+    if out.any():
+        xo, ao = x[out], a[out]
+        u = np.sort(ao, axis=1)[:, ::-1]
+        cumsum = np.cumsum(u, axis=1)
+        ks = np.arange(1, x.shape[1] + 1)
+        # the last index where u_k k > cumsum_k - 1 (always true at k = 1)
+        rho = x.shape[1] - 1 - np.argmax((u * ks > cumsum - 1.0)[:, ::-1], axis=1)
+        theta = (cumsum[np.arange(rho.size), rho] - 1.0) / (rho + 1.0)
+        yo = ao - theta[:, None]
+        np.maximum(yo, 0.0, out=yo)
+        yo *= np.sign(xo)
+        s = np.abs(yo).sum(axis=1)
+        off = s != 1.0  # kill the last ulp of threshold roundoff
+        yo[off] /= s[off, None]
+        y[out] = yo
     return y

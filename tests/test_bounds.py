@@ -23,6 +23,7 @@ from l1gram import (
     rho1_multistart,
     rho1_structured_upper,
     sample_W,
+    sample_wishart,
     shift_to_T,
     witness_value_closed_form,
 )
@@ -239,6 +240,92 @@ class TestRho1ExactFrozen:
         h.update(rep.witness.tobytes())
         assert h.hexdigest() == FROZEN_RHO1[key]
 
+
+# Ascent paths of every kind: Gaussian and build_T inputs of every size up
+# to 40, ties (identity, all-ones, rank one), the 0 floor (-I, zero), and a
+# Wishart and a hollow W at the sizes the experiment suites use.
+MULTISTART_FAMILIES = {
+    "gauss": lambda: [random_symmetric(n, 5000 + n) for n in range(1, 41)],
+    "T": lambda: [build_T(n, Rng(6000 + n)) for n in range(1, 41)],
+    "special": lambda: [
+        GramMatrix.identity(6),
+        GramMatrix(-np.eye(6)),
+        GramMatrix(np.ones((6, 6))),
+        GramMatrix(np.outer(np.arange(1.0, 9.0), np.arange(1.0, 9.0))),
+        GramMatrix(np.zeros((4, 4))),
+        sample_wishart(60, Rng(7060)),
+        sample_W(64, Rng(7064)),
+    ],
+}
+MULTISTART_RUNS = {
+    "64x500": dict(restarts=64, steps=500),
+    "7x50": dict(restarts=7, steps=50),
+    "1x0": dict(restarts=1, steps=0),
+    "16x1": dict(restarts=16, steps=1),
+    "reversed": dict(restarts=16, steps=50, restart_indices=range(15, -1, -1)),
+    "duplicate": dict(restarts=16, steps=50, restart_indices=[5, 2, 5, 0, 2]),
+}
+
+
+def multistart_digest(family, run):
+    h = hashlib.sha256()
+    for i, A in enumerate(MULTISTART_FAMILIES[family]()):
+        rep = rho1_multistart(A, rng=Rng(8000 + i), **MULTISTART_RUNS[run])
+        h.update(repr(rep.lower).encode())
+        h.update(rep.witness.tobytes())
+    return h.hexdigest()
+
+
+FROZEN_MULTISTART = {
+    "T-16x1":
+        "6796193605a0c328137f20b627dc6d39d25f45d92d73e010e0e12598c9139a3a",
+    "T-1x0":
+        "b98892bddc8e7d0517465b786f2488619d566277a9c7e19a3916de96597aa521",
+    "T-64x500":
+        "f2ddc0b09dbfbfeaae34c8fae930c826c027e43bc3f56b0027cab945c3691ad2",
+    "T-7x50":
+        "b0abe5deeeabeca995639789ecc5982d11c6f648c4e05f1edabe04987876538c",
+    "T-duplicate":
+        "dd423f9665392815649a04656e888333f280e21e3324f8e5d097aeef13ea6dc7",
+    "T-reversed":
+        "9bedd6c9b701e950231121f345a013830f58e529f94298f60248c795f6b2005e",
+    "gauss-16x1":
+        "7acd004aeae4b805a005958d108ee62d3457be2abe4662b37be7b9d1b63fdcef",
+    "gauss-1x0":
+        "4a5eb8a8767602ab887ee3515dcd9e2059aa2e6b90415e1262bf9326d6b0b218",
+    "gauss-64x500":
+        "b951a08815b2c151b0f7c4e35d315dbc92e30c660eba0494438f5f2958730d7c",
+    "gauss-7x50":
+        "eef896969ae0e3f72246b091ddb8ba1dfe304d9cb6845ff8315194141d3da9a5",
+    "gauss-duplicate":
+        "9593b6e947374603630cd70edb452dbc9dc500fe4adabee86d889fda0659334b",
+    "gauss-reversed":
+        "8daac559fdcaae7494764a751fceac30e76fa3d4de6aff249529a103634d518b",
+    "special-16x1":
+        "6eda21390c9fa2b03dc516d6887d5fdaafda1474533f7b1a7ff0cdbd00aea78b",
+    "special-1x0":
+        "e7a4f244e8105c8d86e559f05c938355f6de426aed8bddd934b89f8ad9496342",
+    "special-64x500":
+        "29583be111c9cfb5c58d840224ffd0ae636cfec09d6c91794b5e47115f4eb274",
+    "special-7x50":
+        "7bffea7e936529217d2e64564a39a8322b6ed05e03633b88f4bd05d588f37105",
+    "special-duplicate":
+        "fc89de465f88ae2b238282204358bb0ae37bf578b1bee5b440f45bf64a9434b8",
+    "special-reversed":
+        "48fd9d22dc7e9e92a6e29c1293aa0637ff6c3432ebf5b9e05ce4fb2eea17fde9",
+}
+
+
+class TestRho1MultistartFrozen:
+    """SHA-256 of repr(value) and the witness bytes over each family,
+    recorded while the restarts still ran one after another."""
+
+    @pytest.mark.parametrize("run", sorted(MULTISTART_RUNS))
+    @pytest.mark.parametrize("family", sorted(MULTISTART_FAMILIES))
+    def test_digest(self, family, run):
+        assert multistart_digest(family, run) == FROZEN_MULTISTART[f"{family}-{run}"]
+
+
 class TestRho1Multistart:
     def test_identity_five(self):
         rep = rho1_multistart(GramMatrix.identity(5), restarts=10, rng=Rng(1))
@@ -269,6 +356,10 @@ class TestRho1Multistart:
     def test_requires_rng(self):
         with pytest.raises(ValueError):
             rho1_multistart(GramMatrix.identity(2))
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps"):
+            rho1_multistart(GramMatrix.identity(2), steps=-1, rng=Rng(1))
 
 
 class TestPiplusRank1Lower:

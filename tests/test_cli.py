@@ -264,6 +264,20 @@ def test_grid_counts_below_one_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scaling", "bounds"])
+def test_negative_steps_exit_2(command, tmp_path, capsys):
+    # both commands reach rho1_multistart: heuristic scaling, and bounds on a
+    # matrix above the exact-enumeration cap
+    big = tmp_path / "big.txt"
+    save_matrix(big, GramMatrix.identity(13))
+    argv = {"scaling": ["scaling", "--n", "20", "--seeds", "1", "--mode", "heuristic"],
+            "bounds": ["bounds", str(big)]}[command]
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--steps", "-1", "--out", str(out)]) == 2
+    assert "steps must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certificate_tags_consistent_with_methods():
     rows = (run_compare([5], 3, "wishart", 2)
             + run_scaling([4, 5], 2, 3, mode="exact")

@@ -12,6 +12,7 @@ from l1gram import (
     symmetric_eigen,
     trace,
 )
+from l1gram.linalg import _project_l1_rows
 
 ONES3 = GramMatrix(np.ones((3, 3)))
 
@@ -152,3 +153,23 @@ class TestProjectL1Sphere:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             project_l1_sphere(np.zeros(3))
+        rows = np.ones((3, 4))
+        rows[1] = 0.0
+        with pytest.raises(ValueError):
+            _project_l1_rows(rows)
+
+    def test_rows_match_the_vector_projection(self):
+        # rows inside the ball, on the sphere, outside it, and with tied
+        # magnitudes: every row bit for bit as project_l1_sphere alone
+        r = Rng(9)
+        x = r.normal(12 * 7).reshape(12, 7)
+        x[0] *= 1e-3 / np.abs(x[0]).sum()
+        x[1] /= np.abs(x[1]).sum()
+        x[2] = project_l1_sphere(x[2])
+        x[3] = [0.5, -0.5, 0.5, -0.5, 0.5, 0.0, 0.25]
+        x[4] = [2.0, -2.0, 2.0, 1.0, -1.0, 1.0, 0.0]
+        x[5] = [0.1, -0.1, 0.1, -0.1, 0.1, -0.1, 0.1]
+        x[6:] *= 10.0 ** np.arange(-2, 4)[:, None]
+        y = _project_l1_rows(x)
+        for row, out in zip(x, y):
+            assert np.array_equal(out, project_l1_sphere(row))
