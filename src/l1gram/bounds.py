@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -36,8 +35,9 @@ from .rng import Rng
 
 CERTIFICATE_RANK = {"exact": 2, "certified_bound": 1, "heuristic": 0}
 
-# (3^n - 1)/2 - n stationarity systems: 265,708 at n = 12, about 0.4-0.5 s
-# warm on one core (1.5 s at n = 13, 5-6 s at n = 14)
+# The worst case for rho1_exact is a matrix on which nothing prunes (zero,
+# or -I + W): all (3^n - 1)/2 stationarity systems, 265,720 at n = 12,
+# about 0.35-0.65 s warm on one core (1.4-1.5 s at n = 13, 4.5-4.9 s at 14)
 DEFAULT_N_CAP = 12
 
 
@@ -74,56 +74,36 @@ class BoundReport:
                     raise ValueError("exact certificate requires matching bounds")
 
 
-_SIGN_TABLES = {}
-
-
-def _sign_table(k: int) -> np.ndarray:
-    """All sign vectors of length k with first entry +1, shape (2^(k-1), k)."""
-    if k not in _SIGN_TABLES:
-        m = 1 << (k - 1)
-        idx = np.arange(m, dtype=np.uint64)
-        s = np.ones((m, k))
-        for j in range(1, k):
-            s[:, j] = 1.0 - 2.0 * ((idx >> np.uint64(j - 1)) & np.uint64(1)).astype(float)
-        _SIGN_TABLES[k] = s
-    return _SIGN_TABLES[k]
-
-
-def _solve_sign_rows(S: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """solve(S_i, s) for every (c, k, k) block S_i and sign row s, shape
-    (c, m, k): one stacked call, each sign row its own right-hand side."""
-    c, k, _ = S.shape
-    m = signs.shape[0]
-    return np.linalg.solve(np.broadcast_to(S[:, None], (c, m, k, k)),
-                           np.broadcast_to(signs[:, :, None], (c, m, k, 1)))[..., 0]
-
-
 def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
-    """Exact rho1 by enumerating every sign/support pattern.
+    """Exact rho1 by enumerating the sign/support patterns that can hold it.
 
-    Within a pattern the problem is a quadratic maximum over the simplex,
-    whose maximizer is either a vertex or an interior stationary point of
-    some face; enumerating all supports covers all faces, so the global
-    maximum over candidates is the exact value (floored at 0, attained by
-    x = 0).  Singular stationarity systems are skipped: their maximizers
-    live on faces enumerated separately.
+    Within a pattern (support P, signs s with s_1 = +1, D = diag(s),
+    M = D T_PP D) the problem is a quadratic maximum over the simplex,
+    attained at the interior stationary point of some face (a vertex is a
+    face), so the best candidate over all faces is the exact value (floored
+    at 0).  Along e_i - e_j the objective's second derivative is
+    2(M_ii + M_jj - 2 M_ij); where it is positive, an end of the segment,
+    on a smaller face, beats the face's stationary point.  So the maximizer's
+    pattern is a clique of the graph on signed vertices (i, +-) with an edge
+    wherever T_ii + T_jj - 2 s_i s_j T_ij <= 0, and only cliques are priced.
+    An edge is dropped only when that computed curvature exceeds
+    4 eps (|T_ii| + |T_jj| + 2|T_ij|), so roundoff cannot drop the
+    maximizer's pattern.  Cliques are closed under subsets, so a singular
+    face, whose maximum also lies on a smaller face, is skipped safely.
+    Ties go to the first pattern in (size, support, sign index) order, the
+    sign index having bit j - 2 set where s_j = -1.
 
-    For support block S and sign row s, D = diag(s), the stationary point
-    solves (D S D) y = const * 1 with sum(y) = 1.  Only strictly positive
-    solutions are kept, and the value is re-evaluated as x^T S x with
-    x = s * y, so an ill-conditioned solve can only produce a genuine
-    feasible value or be rejected.  The supports of one size are priced in
-    chunks of at most _STACK_CAP float64 block entries (or one support),
-    with one stacked solve per chunk in which every sign row is its own
-    single right-hand side against the unflipped block.  Sign flips are
-    exact, and partial pivoting picks the same pivots on D S D as on S, so
-    solve(D S D, 1) = s * solve(S, s) bit for bit; a singular S makes every
-    D S D singular.  Value and witness are therefore bit-identical to
-    solving each sign-flipped block on its own, and ties go to the first
-    pattern in enumeration order.  When a chunk's solve raises, one slogdet
-    over its unflipped blocks finds the singular supports (sign 0 exactly
+    The stationary point solves M y = const * 1 with sum(y) = 1; only
+    strictly positive y are kept, and the value is re-evaluated as
+    x^T T_PP x with x = s * y, so an ill-conditioned solve can only give a
+    genuine feasible value or be rejected.  A size is priced in slices of
+    at most _STACK_CAP block entries, one stacked solve per slice with each
+    pattern its own right-hand side against its unflipped block: partial
+    pivoting picks the same pivots on D S D as on S, so
+    solve(D S D, 1) = s * solve(S, s) bit for bit.  When a slice's solve
+    raises, one slogdet per support finds the singular ones (sign 0 exactly
     where LU meets the zero pivot the solve raised on), and the regular
-    ones are solved again in one call.
+    patterns are solved again in one call.
     """
     arr = as_matrix_array(T)
     n = arr.shape[0]
@@ -134,31 +114,43 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
         )
     best = 0.0
     best_x = np.zeros(n)
-    # vertices: x = +-e_i, value T_ii
-    i_star = int(np.argmax(np.diag(arr)))
-    if arr[i_star, i_star] > best:
-        best = float(arr[i_star, i_star])
-        best_x = np.zeros(n)
-        best_x[i_star] = 1.0
-    for k in range(2, n + 1):
-        signs = _sign_table(k)
-        m = signs.shape[0]
-        supports = combinations(range(n), k)
-        rows = max(1, _STACK_CAP // (m * k * k))
-        while True:
-            idx = np.fromiter(islice(supports, rows), dtype=(np.intp, k))
-            c = idx.shape[0]
-            if c == 0:
-                break
-            S = arr[idx[:, :, None], idx[:, None, :]]
+    # signed vertex 2i + b is (i, (-1)^b), M its matrix s_u s_v T_ij; edge
+    # [u, v] holds when v has the later index and the pair passes the test
+    index = np.arange(2 * n) // 2
+    M = np.kron(arr, [[1.0, -1.0], [-1.0, 1.0]])
+    diag = np.diag(M)
+    curvature = np.add.outer(diag, diag) - 2.0 * M
+    margin = 4.0 * np.finfo(np.float64).eps * (
+        np.add.outer(np.abs(diag), np.abs(diag)) + 2.0 * np.abs(M))
+    edge = (curvature <= margin) & (index[:, None] < index[None, :])
+    # the cliques of one size as rows of signed vertices (the smallest dtype
+    # holding 2n keeps wide levels small) and the later vertices adjacent to
+    # every member, starting from the positive vertices
+    clique = np.arange(0, 2 * n, 2, dtype=np.min_scalar_type(2 * n))[:, None]
+    common = edge[0::2]
+    while clique.shape[0] > 0:
+        k = clique.shape[1]
+        support = clique >> 1
+        starts = np.ones(clique.shape[0], dtype=bool)  # where a support begins
+        starts[1:] = (support[1:] != support[:-1]).any(axis=1)
+        rows = max(1, _STACK_CAP // (k * k))
+        for lo in range(0, clique.shape[0], rows):
+            idx = support[lo:lo + rows]
+            s = 1.0 - 2.0 * (clique[lo:lo + rows] & 1)
+            first = starts[lo:lo + rows].copy()
+            first[0] = True
+            block = idx[first]
+            blocks = arr[block[:, :, None], block[:, None, :]]
+            of = np.cumsum(first) - 1
+            S = blocks[of]
             try:
-                v = _solve_sign_rows(S, signs)
+                v = np.linalg.solve(S, s[:, :, None])[..., 0]
             except np.linalg.LinAlgError:
                 # singular supports get no candidate
-                v = np.full((c, m, k), np.nan)
-                regular = np.linalg.slogdet(S)[0] != 0.0
-                v[regular] = _solve_sign_rows(S[regular], signs)
-            w = (signs * v).reshape(c * m, k)  # solve(D S D, 1) per pattern
+                regular = (np.linalg.slogdet(blocks)[0] != 0.0)[of]
+                v = np.full(s.shape, np.nan)
+                v[regular] = np.linalg.solve(S[regular], s[regular, :, None])[..., 0]
+            w = s * v  # solve(D S D, 1) per pattern
             sums = w.sum(axis=1)
             with np.errstate(invalid="ignore", divide="ignore"):
                 y = w / sums[:, None]
@@ -166,13 +158,20 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
             feas = np.nonzero(ok)[0]
             if feas.size == 0:
                 continue
-            x = signs[feas % m] * y[feas]
-            vals = np.einsum("mi,mij,mj->m", x, S[feas // m], x)
+            x = s[feas] * y[feas]
+            vals = np.einsum("mi,mij,mj->m", x, S[feas], x)
             j = int(np.argmax(vals))
             if vals[j] > best:
                 best = float(vals[j])
                 best_x = np.zeros(n)
-                best_x[idx[feas[j] // m]] = x[j]
+                best_x[idx[feas[j]]] = x[j]
+        # a stable sort by (parent support, new vertex) gives (support, sign
+        # index) order: the new member is last, its sign the index's top bit
+        parent, vertex = np.nonzero(common)
+        order = np.argsort(np.cumsum(starts)[parent] * (2 * n) + vertex, kind="stable")
+        parent, vertex = parent[order], vertex[order]
+        clique = np.column_stack((clique[parent], vertex.astype(clique.dtype)))
+        common = common[parent] & edge[vertex]
     return BoundReport(
         quantity="rho1",
         lower=best,

@@ -21,7 +21,13 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .bounds import certify_ratio, piplus_witness, rho1_multistart, witness_value_closed_form
+from .bounds import (
+    DEFAULT_N_CAP,
+    certify_ratio,
+    piplus_witness,
+    rho1_multistart,
+    witness_value_closed_form,
+)
 from .decompose import DEFAULT_RULE, PivotRule, eigen_decomposer, greedy_peel
 from .randcert import (
     bai_yin_stat,
@@ -170,7 +176,7 @@ def fit_loglog_exponent(ns: Sequence[int], values: Sequence[float]) -> float:
 
 def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
                 mode: str = "exact", restarts: int = 64, steps: int = 500,
-                n_cap: int = 12) -> List[ExperimentRow]:
+                n_cap: int = DEFAULT_N_CAP) -> List[ExperimentRow]:
     """Ratio values per (n, seed) plus the fitted log-log exponent.
 
     exact mode reproduces certify_ratio cell by cell (ratios are certified

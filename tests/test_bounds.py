@@ -1,6 +1,6 @@
 import hashlib
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -109,12 +109,51 @@ class TestRho1Exact:
             sx, sy = np.sign(x[support]), np.sign(y[support])
             assert np.array_equal(sx * sx[0], sy * sy[0])
 
+    def test_pattern_failing_the_pair_test_is_not_priced(self):
+        # the face on {1, 3, 4, 5, 6} (signs + + - - -) fails the pair test;
+        # its stationary point, with weights of order 1e-17 on three members,
+        # prices at 0.5 + 2 ulp against the true maximum 0.5
+        A = GramMatrix([[0, 0, 1, -1, 1, 0, -1], [0, -1, 0, -1, 0, -1, 0],
+                        [1, 0, 0, 1, 0, 0, 0], [-1, -1, 1, 0, 1, -1, 0],
+                        [1, 0, 0, 1, -1, 1, 0], [0, -1, 0, -1, 1, 0, 1],
+                        [-1, 0, 0, 0, 0, 1, 0]])
+        rep = rho1_exact(A)
+        assert rep.upper == 0.5
+        assert np.array_equal(rep.witness, [0.5, 0, 0.5, 0, 0, 0, 0])
+
     def test_witness_achieves_value(self):
         A = random_symmetric(6, 321)
         rep = rho1_exact(A)
         x = rep.witness
         assert abs(np.abs(x).sum() - 1.0) <= 1e-9 or rep.upper == 0.0
         assert float(x @ A.entries @ x) == pytest.approx(rep.upper, rel=1e-9)
+
+
+def _largest_balanced_set(W):
+    """Brute force over bitmasks: the size of the largest index set on which
+    every triangle of the +-1 matrix W has a positive product."""
+    n = W.shape[0]
+    masks = np.arange(1 << n)
+    ok = np.ones(masks.size, dtype=bool)
+    for a, b, c in combinations(range(n), 3):
+        if W[a, b] * W[b, c] * W[a, c] < 0.0:
+            t = (1 << a) | (1 << b) | (1 << c)
+            ok &= (masks & t) != t
+    sizes = sum((masks >> i) & 1 for i in range(n))
+    return int(sizes[ok].max())
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_shifted_W_matches_the_balanced_set_oracle(n):
+    # For T = -(sqrt(n)/4) I + W and n <= 15 the pair test keeps only
+    # patterns on which W is switching-equivalent to J - I, and the best of
+    # them is the uniform point on the largest one: 1 - (1 + sqrt(n)/4)/omega
+    for seed in range(4):
+        W = sample_W(n, Rng(100 * n + seed))
+        omega = _largest_balanced_set(W.entries)
+        expected = max(0.0, 1.0 - (1.0 + math.sqrt(n) / 4.0) / omega)
+        rep = rho1_exact(shift_to_T(W), n_cap=15)
+        assert abs(rep.upper - expected) <= 1e-14
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -130,15 +169,29 @@ def test_sign_flip_solve_identity(k):
     assert np.array_equal(flipped[..., 0], through_S)
 
 
+def _last_sign_block(k):
+    """s s^T - I for s = (1, -1, ..., -1): its balanced pattern has the
+    largest sign index of its support."""
+    s = -np.ones(k)
+    s[0] = 1.0
+    return np.outer(s, s) - np.eye(k)
+
+
 def _rank2_psd(n, seed):
     g = Rng(seed).normal(2 * n).reshape(n, 2)
     return GramMatrix(g @ g.T)
 
 
-# Every rho1_exact code path: regular supports at n = 1..12 (chunk
+# Every rho1_exact code path: regular supports at n = 1..12 (slice
 # boundaries at every support size), supports that are all singular
-# (all-ones), singular and regular supports mixed in one chunk (rank 2), and
-# the zero matrix (no candidate beats the floor).
+# (all-ones), singular and regular supports mixed in one slice (rank 2), and
+# the zero matrix (no candidate beats the floor).  The pair-curvature test
+# keeps every pattern of the zero matrix and of -I + W, none but the
+# vertices of a Wishart matrix or the identity, and the exactly flat pairs
+# of small-integer and rank-one matrices.  On ties4 two sign patterns of one
+# size tie for the maximum, so the witness pins the order they are priced
+# in; lastslice12 has its only maximizer in the last pattern of a size that
+# spans several stacked solves.
 FROZEN_RHO1_INPUTS = {
     **{f"gauss{n}": (lambda n=n: random_symmetric(n, 1000 + n))
        for n in range(1, 13)},
@@ -148,6 +201,19 @@ FROZEN_RHO1_INPUTS = {
     "ones12": lambda: GramMatrix(np.ones((12, 12))),
     "rank2psd10": lambda: _rank2_psd(10, 4010),
     "zero3": lambda: GramMatrix(np.zeros((3, 3))),
+    "zero12": lambda: GramMatrix(np.zeros((12, 12))),
+    "negI_W12": lambda: GramMatrix(-np.eye(12) + sample_W(12, Rng(4012)).entries),
+    "negdef6": lambda: GramMatrix(-np.eye(6) - 0.5 * np.ones((6, 6))),
+    "intgauss8": lambda: GramMatrix(np.round(2 * random_symmetric(8, 4108).entries)),
+    "intgauss12": lambda: GramMatrix(np.round(2 * random_symmetric(12, 4112).entries)),
+    "rank1_8": lambda: GramMatrix(np.outer(np.arange(1.0, 9.0), np.arange(1.0, 9.0))),
+    "wishart12": lambda: sample_wishart(12, Rng(4212)),
+    "eye12": lambda: GramMatrix.identity(12),
+    "ties4": lambda: GramMatrix(
+        [[-1.0, 0.0, 1.0, 1.0], [0.0, -1.0, -1.0, 1.0], [1.0, -1.0, 0.0, 0.0],
+         [1.0, 1.0, 0.0, 0.0]]),
+    "lastslice12": lambda: GramMatrix(
+        -np.eye(12) + np.pad(_last_sign_block(6), (6, 0))),
 }
 FROZEN_RHO1 = {
     "T10":
@@ -194,6 +260,8 @@ FROZEN_RHO1 = {
         "c82b4e016284dc70f209b279c6481924ef4fdb37af39eefc65cb0e4ffec654fc",
     "W9":
         "45ac5dd95ef0b48408f49f4e105245c14a5c1ff047d50c8b9aa7a0cf02220f12",
+    "eye12":
+        "0758f001b1bcbd0058be30ccacf4428b4d1c322bca7e2a59c332910fb68319b1",
     "gauss1":
         "aeb68617492933423c27bc9132a3a21c98e7f1c4d972ce871575d1992eac90d4",
     "gauss10":
@@ -218,12 +286,30 @@ FROZEN_RHO1 = {
         "cc0c8fb86f5770ad5137c05903a270b0e8a831a099517bbc55637285bbc652f7",
     "gauss9":
         "78aec82d57af00a6e55edd6efe36dc02c00ce29a65c4fa70c814e26b215c5029",
+    "intgauss12":
+        "0b85342165f5deecd0e1583fec497095d750345fd74df64b49842cb45b0a296d",
+    "intgauss8":
+        "3700a770944d2d9698b6099a6cc246ae32b34a9f974f00971f4cf2ceb852354c",
+    "lastslice12":
+        "fa2cbcda4a08e2f9ae1b41bffd023d5c6066af09f037c606b68b250ff81f30ee",
+    "negI_W12":
+        "82c8d574730b92c5936b87bdc0983d9ea2ede5dd3b9752320b49caf07dfc3220",
+    "negdef6":
+        "7b8525a9f3ef9ae7ebcc207cbee6efd7921cc13d0a4da3c2a54ee462fe434cc4",
     "ones12":
         "0758f001b1bcbd0058be30ccacf4428b4d1c322bca7e2a59c332910fb68319b1",
     "ones5":
         "53da6655018a6ed252f945e16e7c534609feac059ac229304c98d4ddaa9a14d4",
+    "rank1_8":
+        "73ec6bc88bbf4eef646c21018e7a17df1c477e45b089d7caaa94bba1e857cc18",
     "rank2psd10":
         "47deab36372249c7aef0fb7371d275e6f6961d1e320d9a608a5aba609c671777",
+    "ties4":
+        "369e990f29e09d604d955793f278ca4bd6320c3d7f5009db6090fdc3c7e74802",
+    "wishart12":
+        "915a53c39074bf608d7b3fcdd1bb7856fc980ade125ce4846e4820ce62c76145",
+    "zero12":
+        "6c93cc4f534911a7425d719e68d409c60d65514db7df130a8e4fc3ffe17d89a2",
     "zero3":
         "743721fe9a550a339e476ccf7d50dc6a6c07007da354034fb95eb151f5102776",
 }
@@ -231,7 +317,9 @@ FROZEN_RHO1 = {
 
 class TestRho1ExactFrozen:
     """SHA-256 of repr(value) and the witness bytes, recorded before the
-    supports of one size were stacked into shared solves."""
+    supports of one size were stacked into shared solves (the zero12 to
+    lastslice12 entries: before only the patterns passing the pair test
+    were priced)."""
 
     @pytest.mark.parametrize("key", sorted(FROZEN_RHO1_INPUTS))
     def test_digest(self, key):
