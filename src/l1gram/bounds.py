@@ -40,6 +40,8 @@ CERTIFICATE_RANK = {"exact": 2, "certified_bound": 1, "heuristic": 0}
 # about 0.35-0.65 s warm on one core (1.4-1.5 s at n = 13, 4.5-4.9 s at 14)
 DEFAULT_N_CAP = 12
 
+EPS = np.finfo(np.float64).eps
+
 
 def weaker_certificate(*certs: str) -> str:
     return min(certs, key=lambda c: CERTIFICATE_RANK[c])
@@ -353,95 +355,94 @@ def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCerti
     )
 
 
-def _project_psd_shift(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Project onto {Y : Y - T PSD} by clipping negative eigenvalues."""
-    d = (y - t + (y - t).T) / 2.0
-    lam, v = np.linalg.eigh(d)
-    lam = np.maximum(lam, 0.0)
-    return t + (v * lam) @ v.T
+def _project_psd_shift(y: np.ndarray, t) -> np.ndarray:
+    """Exactly symmetric projection onto {Y : Y - T PSD} (eigenvalue clipping)."""
+    lam, v = np.linalg.eigh((y - t + (y - t).T) / 2.0)
+    p = (v * np.maximum(lam, 0.0)) @ v.T
+    return t + (p + p.T) / 2.0
+
+
+def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
+    """(lower, A, upper, Y, converged): the ADMM of piplus_dual_upper."""
+    n = t.shape[0]
+    rho, z, u = 1.0, t.copy(), np.zeros_like(t)
+    lower, a_best = 0.0, np.zeros_like(t)  # A = 0 is feasible
+    upper, y_best = math.inf, None
+    for k in range(1, iter_cap + 1):
+        v, r = z - u, 1.0 / rho
+        y = np.zeros_like(v)
+        if np.abs(v).sum() > r:
+            y = v - r * project_l1_sphere(v.ravel() / r).reshape(n, n)
+        z_prev, z = z, _project_psd_shift(y + u, t)
+        u += y - z
+        if k % 10 and k < iter_cap:
+            continue
+        a = _project_psd_shift(-u, 0.0)  # the PSD part of -U
+        norm1 = np.abs(a).sum()
+        if norm1 > 0.0 and float((t * a).sum()) / norm1 > lower:
+            a_best = a / norm1
+            lower = float((t * a_best).sum())
+        if np.abs(z).max() < upper:
+            d = z - t
+            delta = max(0.0, -float(np.linalg.eigvalsh(d)[0])) + (n + 2) * EPS * (
+                np.linalg.norm(d) + np.abs(z).max())
+            y_c = z + delta * np.eye(n)
+            if np.abs(y_c).max() < upper:
+                upper, y_best = float(np.abs(y_c).max()), y_c
+        if upper - lower <= tol_gap:
+            return lower, a_best, upper, y_best, True
+        # residual balancing on the relative residuals (Z != 0 as T is not NSD)
+        res = np.linalg.norm(y - z) / max(np.linalg.norm(y), np.linalg.norm(z))
+        dz, du = np.linalg.norm(z - z_prev), np.linalg.norm(u)
+        if res > 0.0 and dz > 0.0 and du > 0.0:
+            f = min(5.0, max(0.2, math.sqrt(res * du / dz)))
+            rho, u = rho * f, u / f
+    return lower, a_best, upper, y_best, False
 
 
 def piplus_dual_upper(T, tol: float = 1e-8, iter_cap: int = 60000,
                       lower_hint: Optional[float] = None) -> BoundReport:
-    """Certified upper bound on piplus via its conic dual.
+    """Certified bracket [lower, upper] on piplus from its conic dual.
 
-    Any Y with Y - T PSD satisfies Tr(TA) <= Tr(YA) <= ||Y||_max ||A||_1, so
-    min ||Y||_max over Y >= T equals piplus.  The minimum is bracketed by
-    bisection on mu; feasibility of {||Y||_max <= mu} meeting {Y >= T} is
-    tested with Dykstra's alternating projections.  Every cone-projected
-    iterate is feasible for the dual by construction, so its max-norm is a
-    certified upper bound whether or not the bisection converged; if the
-    iteration budget runs out first, the method tag is marked inconclusive.
+    For Y - T PSD and A PSD with ||A||_1 <= 1, Tr(TA) <= Tr(YA) <= ||Y||_max,
+    and min { ||Y||_max : Y - T PSD } equals piplus.  One scaled ADMM run
+    (Boyd et al. 2011) on min ||Y||_max subject to Y = Z, Z - T PSD repeats
+    Y = V - P(V) with V = Z - U and P the projection onto the l1 ball of
+    radius 1/rho (the prox of ||.||_max / rho by Moreau, through
+    project_l1_sphere), Z = the projection of Y + U onto {Z - T PSD}, and
+    U += Y - Z; every 10 iterations it rescales rho and U by
+    sqrt(primal / dual relative residual), clipped to [0.2, 5].
+
+    Both ends are certified at every 10th and at the last iteration.  A
+    step leaves U = D - D+ with D = Y + U - T, so the PSD part A of -U,
+    normalized to ||A||_1 = 1, is feasible: lower = Tr(TA) (or 0, A = 0).
+    The Z of least max-norm is shifted to Y = Z + delta I, with delta =
+    max(0, -lambda_min(Z - T)) as computed plus (n + 2) eps (||Z - T||_F +
+    max|Z|) for the eigenvalue error and the roundoff in forming Z - T and
+    the shift (Jansson, Chaykin, Keil 2007); upper = max|Y|, witness Y.
+
+    The method is "dual_ap" once upper - lower <= tol * max(1, lambda_max),
+    and "dual_ap(inconclusive)" when iter_cap iterations run out first;
+    both ends stay valid either way.  lower_hint is accepted and unused:
+    the bracket is closed by the solver's own lower bound.  For
+    lambda_max <= 0, piplus = 0 with witness Y = 0.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if iter_cap < 1:
+        raise ValueError(f"iter_cap must be >= 1, got {iter_cap!r}")
     arr = as_matrix_array(T)
-    n = arr.shape[0]
     lam_max = max_eigenvalue(arr)
     if lam_max <= 0.0:
         return BoundReport(
             quantity="piplus", lower=None, upper=0.0, method="dual_ap",
-            certificate="certified_bound", witness=GramMatrix._wrap(np.zeros((n, n))),
+            certificate="certified_bound", witness=GramMatrix._wrap(np.zeros_like(arr)),
         )
-    scale = max(1.0, lam_max)
-    tol_gap = tol * scale
-    tol_feas = max(1e-12 * scale, 0.01 * tol_gap)
-
-    lo = lam_max / n
-    if lower_hint is not None:
-        lo = max(lo, float(lower_hint))
-    hi = lam_max
-    best_upper = lam_max  # Y = lam_max * I is feasible
-    best_y = lam_max * np.eye(n)
-
-    budget = iter_cap
-
-    def try_mu(mu, y_start):
-        """Dykstra between the mu-box and the shifted PSD cone."""
-        nonlocal budget, best_upper, best_y
-        x = y_start
-        p = np.zeros_like(arr)
-        q = np.zeros_like(arr)
-        feasible = False
-        prev = None
-        while budget > 0:
-            budget -= 1
-            yb = np.clip(x + p, -mu, mu)
-            p = x + p - yb
-            x = _project_psd_shift(yb + q, arr)
-            q = yb + q - x
-            viol = float(np.abs(x).max()) - mu
-            if viol <= tol_feas:
-                feasible = True
-                break
-            if prev is not None and abs(prev - viol) < 1e-13 * scale:
-                break  # stalled: the sets are (numerically) disjoint at this mu
-            prev = viol
-        # x is cone-feasible by construction: its max-norm certifies an upper bound
-        up = float(np.abs(x).max())
-        if up < best_upper:
-            best_upper = up
-            best_y = x
-        return feasible, x
-
-    y = arr.copy()
-    inconclusive = False
-    while hi - lo > tol_gap:
-        if budget <= 0:
-            inconclusive = True
-            break
-        mu = 0.5 * (lo + hi)
-        feasible, y = try_mu(mu, y)
-        if feasible:
-            hi = mu
-        else:
-            lo = mu
-    method = "dual_ap(inconclusive)" if inconclusive else "dual_ap"
+    lower, _, upper, y, converged = _piplus_admm(arr, tol * max(1.0, lam_max), iter_cap)
     return BoundReport(
-        quantity="piplus",
-        lower=None,
-        upper=best_upper,
-        method=method,
-        certificate="certified_bound",
-        witness=GramMatrix._wrap((best_y + best_y.T) / 2.0),
+        quantity="piplus", lower=lower, upper=upper,
+        method="dual_ap" if converged else "dual_ap(inconclusive)",
+        certificate="certified_bound", witness=GramMatrix._wrap(y),
     )
 
 
@@ -498,6 +499,18 @@ def rho1_structured_upper(T, kappa: float, restricted_norm: float,
         quantity="rho1", lower=None, upper=upper,
         method="structured", certificate=cert,
     )
+
+
+def _piplus_lower(T, rho1_report: BoundReport,
+                  wit: Optional[WitnessCertificate]) -> BoundReport:
+    """The better certified piplus lower bound: the shifted-identity witness
+    when it is feasible and beats the rank-one witness of the rho1 search."""
+    rank1 = piplus_rank1_lower(T, rho1_report)
+    if wit is not None and wit.feasible and wit.value > rank1.lower:
+        return BoundReport(quantity="piplus", lower=wit.value, upper=None,
+                           method="witness", certificate="certified_bound",
+                           witness=wit.A)
+    return rank1
 
 
 @dataclass
@@ -558,20 +571,9 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    rank1 = piplus_rank1_lower(T, rho1_for_rank1)
-    pi_lower = rank1.lower
-    pi_method = rank1.method
-    pi_witness = rank1.witness
-    wit = piplus_witness(W, c) if n >= 2 else None
-    if wit is not None and wit.feasible and wit.value > pi_lower:
-        pi_lower = wit.value
-        pi_method = "witness"
-        pi_witness = wit.A
-    piplus_rep = BoundReport(
-        quantity="piplus", lower=pi_lower, upper=None,
-        method=pi_method, certificate="certified_bound", witness=pi_witness,
-    )
-
+    piplus_rep = _piplus_lower(T, rho1_for_rank1,
+                               piplus_witness(W, c) if n >= 2 else None)
+    pi_lower = piplus_rep.lower
     if pi_lower <= 0.0 or denom is None or denom <= 0.0 or not math.isfinite(denom):
         ratio_val = 1.0
         ratio_method = f"{mode}(fallback)"

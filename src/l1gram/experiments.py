@@ -23,6 +23,7 @@ import numpy as np
 
 from .bounds import (
     DEFAULT_N_CAP,
+    _piplus_lower,
     certify_ratio,
     piplus_witness,
     rho1_multistart,
@@ -185,7 +186,9 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
     by the multistart rho1 estimate.  That quotient is an estimate, not a
     certified bound (the denominator is itself a lower estimate), and it may
     lie below 1; seeds whose witness is infeasible or nonpositive contribute
-    NaN ratios, which the fit ignores.
+    NaN ratios, which the fit ignores.  Its piplus_lower row is the
+    certified bound certify_ratio picks: the witness value when the witness
+    is feasible and better, else the rank-one bound from the multistart.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown scaling mode {mode!r}")
@@ -212,19 +215,12 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
                                  rng=root.child(1))
         rho1_value = ms_rep.lower
         wit = piplus_witness(W, c) if n >= 2 else None
-        if wit is not None:
-            pi_lower = wit.value
-            pi_method = "witness"
-            pi_cert = "certified_bound" if wit.feasible else "heuristic"
-        else:
-            pi_lower = rho1_value  # rank-one witness from the same search
-            pi_method = "rank1_witness"
-            pi_cert = "certified_bound"
+        pi = _piplus_lower(T, ms_rep, wit)
         usable = (wit is not None and wit.feasible
                   and wit.value > 0.0 and rho1_value > 0.0)
         ratio = wit.value / rho1_value if usable else math.nan
         rows = [
-            ("piplus_lower", pi_lower, pi_method, pi_cert),
+            ("piplus_lower", pi.lower, pi.method, pi.certificate),
             ("rho1_value", rho1_value, "multistart", "heuristic"),
             ("ratio", ratio, "witness_over_multistart", "heuristic"),
         ]

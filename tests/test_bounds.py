@@ -28,6 +28,8 @@ from l1gram import (
     witness_value_closed_form,
 )
 
+from l1gram.bounds import _piplus_admm
+
 OFFDIAG = GramMatrix([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -541,11 +543,70 @@ class TestPiplusDualUpper:
             assert rep.upper <= max(0.0, max_eigenvalue(A)) + 1e-8
 
     def test_witness_is_dual_feasible(self):
-        A = random_symmetric(5, 13)
-        rep = piplus_dual_upper(A)
-        y = rep.witness.entries
-        assert min_eigenvalue(GramMatrix(y - A.entries)) >= -1e-10
-        assert np.abs(y).max() == pytest.approx(rep.upper, rel=1e-12)
+        # the delta shift makes the computed lambda_min(Y - T) nonnegative,
+        # not merely nonnegative up to roundoff
+        for A in [random_symmetric(5, 13 + t) for t in range(4)] + [
+                build_T(n, Rng(20 + n)) for n in (6, 9, 12)] + [sample_W(7, Rng(5))]:
+            rep = piplus_dual_upper(A)
+            y = rep.witness.entries
+            assert min_eigenvalue(GramMatrix(y - A.entries)) >= 0.0
+            assert np.abs(y).max() == rep.upper
+
+    def test_bracket_closes_on_build_T_30(self):
+        # a feasible dual point gives piplus <= 0.7157052 here
+        rep = piplus_dual_upper(build_T(30, Rng(3)))
+        assert rep.method == "dual_ap"
+        assert rep.upper <= 0.7157052
+
+    def test_converged_bracket_within_tolerance(self):
+        tol = 1e-8
+        for A in [random_symmetric(6, 40 + t) for t in range(4)] + [
+                build_T(n, Rng(60 + n)) for n in (5, 8, 12)] + [sample_W(8, Rng(7))]:
+            rep = piplus_dual_upper(A, tol=tol)
+            assert rep.method == "dual_ap"
+            assert rep.lower <= rep.upper
+            assert rep.upper <= rep.lower + tol * max(1.0, max_eigenvalue(A))
+
+    def test_lower_witness_is_feasible(self):
+        for A in (random_symmetric(6, 44), build_T(10, Rng(8)), sample_W(6, Rng(9))):
+            t = A.entries
+            lower, a, upper, _, converged = _piplus_admm(t, 1e-8, 60000)
+            assert converged
+            assert min_eigenvalue(GramMatrix(a)) >= -1e-12
+            assert np.abs(a).sum() == pytest.approx(1.0, abs=1e-12)
+            assert float((t * a).sum()) == lower
+            assert 0.0 < lower <= upper
+
+    def test_rank_one_value_in_bracket(self):
+        # piplus(v v^T) = max_i v_i^2, attained at A = e_i e_i^T
+        for seed in range(4):
+            v = Rng(500 + seed).normal(7)
+            rep = piplus_dual_upper(GramMatrix(np.outer(v, v)))
+            assert rep.method == "dual_ap"
+            assert rep.lower <= float(np.max(v * v)) <= rep.upper
+
+    def test_budget_exhausted_is_inconclusive_but_valid(self):
+        T = build_T(8, Rng(11))
+        rep = piplus_dual_upper(T, iter_cap=3)
+        assert rep.method == "dual_ap(inconclusive)"
+        assert rep.upper >= rho1_exact(T).upper
+        assert rep.lower <= rep.upper
+        assert min_eigenvalue(GramMatrix(rep.witness.entries - T.entries)) >= 0.0
+
+    def test_lower_hint_does_not_enter_the_report(self):
+        T = build_T(9, Rng(12))
+        ex = rho1_exact(T).upper
+        base = piplus_dual_upper(T)
+        for hint in (0.0, ex, 10.0):
+            rep = piplus_dual_upper(T, lower_hint=hint)
+            assert (rep.lower, rep.upper, rep.method) == (base.lower, base.upper, base.method)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.nan}, {"tol": 0.0}, {"tol": -1.0}, {"tol": math.inf},
+        {"iter_cap": 0}, {"iter_cap": -5}])
+    def test_rejects_bad_arguments(self, kwargs):
+        with pytest.raises(ValueError):
+            piplus_dual_upper(build_T(12, Rng(10)), **kwargs)
 
     def test_sandwich_on_shifted_family(self):
         for t in range(6):

@@ -169,6 +169,15 @@ class TestBoundsCommand:
         assert by_method["rank1_witness"]["lower"] == pytest.approx(0.5)
         assert by_method["dual_ap"]["upper"] <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_bad_dual_tolerance_exits_2(self, tol, tmp_path, capsys):
+        p = tmp_path / "t.txt"
+        save_matrix(p, GramMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        out = tmp_path / "out.json"
+        assert main(["bounds", str(p), "--tol-dual", tol, "--out", str(out)]) == 2
+        assert "tol must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_large_matrix_uses_multistart(self, tmp_path, capsys):
         from l1gram import Rng, sample_wishart
         p = tmp_path / "big.txt"
@@ -228,8 +237,10 @@ FROZEN_DIGESTS = {
         "f82e9d81298cfd7d1e087334d0f5ccdba92778ec53edb1e918c54298e11ed9fb",
     "scaling-exact":
         "2a40d68079aa87e1f2373ad8b0ee482285799b23a30411fa8bc042340997217e",
+    # re-recorded when piplus_lower became the certified pick of
+    # certify_ratio; was f44595c7afaab22451c0ac1444b1f1e034e7c589c3443b3ca2eec29b965a3ca4
     "scaling-heuristic":
-        "f44595c7afaab22451c0ac1444b1f1e034e7c589c3443b3ca2eec29b965a3ca4",
+        "da1a438c226f3986aa946b6f6f480c5295444df5c56f9d8180ec9990ac3fa44a",
     "lemmas":
         "ff3e8d0016db27ba137cf04d8ee914c7b7a233e3701f23bc88a63c987a1429f7",
 }
@@ -290,6 +301,21 @@ def test_certificate_tags_consistent_with_methods():
                 or "loglog" in r.method):
             assert r.certificate == "heuristic", r
         assert r.certificate in ("exact", "certified_bound", "heuristic"), r
+
+
+def test_heuristic_piplus_lower_is_certified():
+    # the row is a certified lower bound on piplus, and the rank-one witness
+    # of the multistart point already gives piplus >= rho1_value
+    rows = run_scaling([2, 30, 40], 2, 4, mode="heuristic", restarts=4, steps=50)
+    cells = {}
+    for r in rows:
+        cells.setdefault((r.n, r.seed), {})[r.quantity] = r
+    for (n, seed), cell in cells.items():
+        if n == 0:
+            continue
+        pi = cell["piplus_lower"]
+        assert pi.certificate == "certified_bound"
+        assert pi.value >= cell["rho1_value"].value, (n, seed)
 
 
 def test_row_keys_unique_within_each_run():

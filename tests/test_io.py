@@ -132,4 +132,4 @@ class TestReportJson:
         save_report(out, rep, witness_dir=str(tmp_path))
         data = json.loads(out.read_text())
         y = load_matrix(data["witness_path"])
-        assert np.abs(y.entries).max() == pytest.approx(rep.upper, rel=1e-12)
+        assert np.abs(y.entries).max() == rep.upper
