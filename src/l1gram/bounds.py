@@ -184,6 +184,12 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
     )
 
 
+# rho1_multistart prices its gradient rows in gemm blocks of _GEMM_ROWS rows
+# against T zero-padded to a multiple of _GEMM_PAD (see its docstring).
+_GEMM_ROWS = 8
+_GEMM_PAD = 32
+
+
 def rho1_multistart(T, restarts: int = 64, steps: int = 500,
                     rng: Optional[Rng] = None,
                     restart_indices=None) -> BoundReport:
@@ -194,33 +200,59 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
     objective found, which is a genuine feasible value and so never exceeds
     the true rho1.  Restart r draws its start from rng.child(r), so any
     split of the restart index range reproduces the serial result.
+    ``restart_indices`` (a non-empty sequence of restart indices) replaces
+    ``range(restarts)``, and ``restarts`` is then ignored.
 
     The restarts advance together as the rows of one (restarts, n) array,
     each with its own step size and accept test; a row leaves the active
-    set once its step size underflows.  A step makes one stacked gradient
-    matmul(T, X[:, :, None]), one row-wise l1-sphere projection and one
-    stacked value matmul(X[:, None, :], G[:, :, None]).  numpy prices each
-    row of a stacked matmul with the same BLAS gemv (gradient) and dot
-    (value) that T @ x and x @ g use on one vector, and the projection
-    reduces along contiguous rows, so every row follows its restart's lone
-    ascent bit for bit; the active rows are gathered by fancy indexing to
-    stay C-contiguous, since numpy falls back to a non-BLAS loop otherwise.
-    A single gemm X @ T would be faster for large n but rounds differently
-    from gemv, and would tie a row's bits to the batch around it.
+    set once its step size underflows.  A step makes one row-wise l1-sphere
+    projection, one stacked gradient X @ T and one stacked value
+    matmul(X[:, None, :], G[:, :, None]), which numpy prices row by row with
+    the BLAS dot that x @ g uses on one vector.
+
+    The gradient is a gemm, so a row's bits must not depend on the rows
+    priced with it, on its place among them or on the BLAS thread count.
+    A plain X @ T breaks this (numpy sends one or a few rows through gemv,
+    and OpenBLAS splits and tiles the product by its shape), so the live
+    rows are zero-padded to a multiple of _GEMM_ROWS and priced as that
+    many rows per gemm call, against T zero-padded to a multiple of
+    _GEMM_PAD.  On OpenBLAS 0.3.31, over n = 1..79 and 24 sizes up to 1024
+    with 1 to 4 BLAS threads, this rule kept every row's bits fixed, where
+    a plain X @ T, unpadded blocks of 16 to 64 rows and unpadded 8-row
+    blocks each failed at some n.  All other reductions run along
+    contiguous rows, so the serial-split promise above holds bit for bit.
     """
     if rng is None:
         raise ValueError("rho1_multistart requires an rng")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if restart_indices is None:
+        if restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        indices = range(restarts)
+    else:
+        indices = list(restart_indices)
+        if not indices:
+            raise ValueError("restart_indices must not be empty")
     arr = as_matrix_array(T)
     n = arr.shape[0]
+    n_pad = -(-n // _GEMM_PAD) * _GEMM_PAD
+    Tp = np.zeros((n_pad, n_pad))
+    Tp[:n, :n] = arr
+    Yp = np.zeros((-(-len(indices) // _GEMM_ROWS) * _GEMM_ROWS, n_pad))
+
+    def gradient(Y):
+        # Y @ T through the zero-padded blocks; the result is C-contiguous
+        m = Y.shape[0]
+        mb = -(-m // _GEMM_ROWS) * _GEMM_ROWS
+        Yp[:m, :n] = Y
+        Yp[m:mb] = 0.0
+        P = np.matmul(Yp[:mb].reshape(-1, _GEMM_ROWS, n_pad), Tp)
+        return np.ascontiguousarray(P.reshape(mb, n_pad)[:m, :n])
+
     step0 = 1.0 / math.sqrt(n)
-    indices = range(restarts) if restart_indices is None else restart_indices
-    starts = [project_l1_sphere(rng.child(r).normal(n)) for r in indices]
-    X = np.array(starts, dtype=np.float64).reshape(len(starts), n)
-    G = np.matmul(arr, X[:, :, None])[..., 0]
+    X = _project_l1_rows(np.stack([rng.child(r).normal(n) for r in indices]))
+    G = gradient(X)
     f = np.matmul(X[:, None, :], G[:, :, None])[:, 0, 0]
     eta = np.full(f.size, step0)
     live = np.arange(f.size)
@@ -229,7 +261,7 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
             break
         e, fl = eta[live], f[live]
         cand = _project_l1_rows(X[live] + (2.0 * e)[:, None] * G[live])
-        gc = np.matmul(arr, cand[:, :, None])[..., 0]
+        gc = gradient(cand)
         fc = np.matmul(cand[:, None, :], gc[:, :, None])[:, 0, 0]
         up = fc > fl + 1e-15 * np.abs(fl)
         rows = live[up]

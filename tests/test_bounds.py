@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import l1gram
 from l1gram import (
     BoundReport,
     GramMatrix,
@@ -367,48 +372,68 @@ def multistart_digest(family, run):
 
 
 FROZEN_MULTISTART = {
+    # re-recorded when the gradient became 8-row gemm blocks against a
+    # 32-padded T; each moved entry keeps its old digest in a comment
+    # was 6796193605a0c328137f20b627dc6d39d25f45d92d73e010e0e12598c9139a3a
     "T-16x1":
-        "6796193605a0c328137f20b627dc6d39d25f45d92d73e010e0e12598c9139a3a",
+        "af5b7ed02aa4368abb8f227cb63e65f48528d6ce6f2ef4e75790ce6290675a80",
+    # was b98892bddc8e7d0517465b786f2488619d566277a9c7e19a3916de96597aa521
     "T-1x0":
-        "b98892bddc8e7d0517465b786f2488619d566277a9c7e19a3916de96597aa521",
+        "51dd175ec71aaf828e8af52babed8b22f6909d4bff8bfcc18f1b831729d090f2",
+    # was f2ddc0b09dbfbfeaae34c8fae930c826c027e43bc3f56b0027cab945c3691ad2
     "T-64x500":
-        "f2ddc0b09dbfbfeaae34c8fae930c826c027e43bc3f56b0027cab945c3691ad2",
+        "cdaa5fe56149db42057a710cd3ba32456bdc33e944e5719eea4846577ee6ef78",
+    # was b0abe5deeeabeca995639789ecc5982d11c6f648c4e05f1edabe04987876538c
     "T-7x50":
-        "b0abe5deeeabeca995639789ecc5982d11c6f648c4e05f1edabe04987876538c",
+        "75e65787e6083bcab5ea36902613c401dbbdbe43e3203a7ed40b364fdb198dae",
+    # was dd423f9665392815649a04656e888333f280e21e3324f8e5d097aeef13ea6dc7
     "T-duplicate":
-        "dd423f9665392815649a04656e888333f280e21e3324f8e5d097aeef13ea6dc7",
+        "1ec4c812e78f5450593fbda896a5aca5c7402799eead6329a6cda5cf7bb05461",
+    # was 9bedd6c9b701e950231121f345a013830f58e529f94298f60248c795f6b2005e
     "T-reversed":
-        "9bedd6c9b701e950231121f345a013830f58e529f94298f60248c795f6b2005e",
+        "d68f8ae0f37ca96d3158099a4bb9051aca8d7824713771648aad6e95dddabe7d",
+    # was 7acd004aeae4b805a005958d108ee62d3457be2abe4662b37be7b9d1b63fdcef
     "gauss-16x1":
-        "7acd004aeae4b805a005958d108ee62d3457be2abe4662b37be7b9d1b63fdcef",
+        "0a6281829bca81ca622677fde30321f99215cc5c250a79fe7649a33f44dbb958",
+    # was 4a5eb8a8767602ab887ee3515dcd9e2059aa2e6b90415e1262bf9326d6b0b218
     "gauss-1x0":
-        "4a5eb8a8767602ab887ee3515dcd9e2059aa2e6b90415e1262bf9326d6b0b218",
+        "b2aef487fed59041bfb442fe0c9cd5cd0ec5cf57f65be61ed9ac68477523238c",
+    # was b951a08815b2c151b0f7c4e35d315dbc92e30c660eba0494438f5f2958730d7c
     "gauss-64x500":
-        "b951a08815b2c151b0f7c4e35d315dbc92e30c660eba0494438f5f2958730d7c",
+        "d735f52302542c39c3cdc101881c7685e41f0bda00e7ade67fdc6aa36ebbdaa7",
+    # was eef896969ae0e3f72246b091ddb8ba1dfe304d9cb6845ff8315194141d3da9a5
     "gauss-7x50":
-        "eef896969ae0e3f72246b091ddb8ba1dfe304d9cb6845ff8315194141d3da9a5",
+        "6c37fb091c99f93004a8b22ab51ac37e947f54dd37dd5162b4f70233b2e058b7",
+    # was 9593b6e947374603630cd70edb452dbc9dc500fe4adabee86d889fda0659334b
     "gauss-duplicate":
-        "9593b6e947374603630cd70edb452dbc9dc500fe4adabee86d889fda0659334b",
+        "9ac2c201c091cf43be602f877d759ee46ded6d8d459667291e53fe19e66f729d",
+    # was 8daac559fdcaae7494764a751fceac30e76fa3d4de6aff249529a103634d518b
     "gauss-reversed":
-        "8daac559fdcaae7494764a751fceac30e76fa3d4de6aff249529a103634d518b",
+        "62fc69b4c610f6c66e3e7c38e1ab0b227671c04a522d22f9804c8c6b8dbe31a2",
     "special-16x1":
         "6eda21390c9fa2b03dc516d6887d5fdaafda1474533f7b1a7ff0cdbd00aea78b",
+    # was e7a4f244e8105c8d86e559f05c938355f6de426aed8bddd934b89f8ad9496342
     "special-1x0":
-        "e7a4f244e8105c8d86e559f05c938355f6de426aed8bddd934b89f8ad9496342",
+        "2b59fc69cf3870d54cd640f51bdc6a4098aa41b198554f797e98a9a82ab3706d",
+    # was 29583be111c9cfb5c58d840224ffd0ae636cfec09d6c91794b5e47115f4eb274
     "special-64x500":
-        "29583be111c9cfb5c58d840224ffd0ae636cfec09d6c91794b5e47115f4eb274",
+        "8395a8064d6ddcc23bedfb540ebd041604df5a9aec6454bbacabd37eed6283e0",
+    # was 7bffea7e936529217d2e64564a39a8322b6ed05e03633b88f4bd05d588f37105
     "special-7x50":
-        "7bffea7e936529217d2e64564a39a8322b6ed05e03633b88f4bd05d588f37105",
+        "66ca2f2ee151093795510a2a08c422120bb545ef4a147d27fd328264b6dcbc4e",
+    # was fc89de465f88ae2b238282204358bb0ae37bf578b1bee5b440f45bf64a9434b8
     "special-duplicate":
-        "fc89de465f88ae2b238282204358bb0ae37bf578b1bee5b440f45bf64a9434b8",
+        "f84e49436a6c49cdd7802e7f6037f3e87ba22eb8c6cd4823d07517fe3ce49164",
+    # was 48fd9d22dc7e9e92a6e29c1293aa0637ff6c3432ebf5b9e05ce4fb2eea17fde9
     "special-reversed":
-        "48fd9d22dc7e9e92a6e29c1293aa0637ff6c3432ebf5b9e05ce4fb2eea17fde9",
+        "ca64b15e09152a63b022698093c57a50056cdbd8adfbfc344eb76ff96cccf79a",
 }
 
 
 class TestRho1MultistartFrozen:
     """SHA-256 of repr(value) and the witness bytes over each family,
-    recorded while the restarts still ran one after another."""
+    recorded while the restarts still ran one after another (all but
+    special-16x1 re-recorded for the blocked gemm gradient)."""
 
     @pytest.mark.parametrize("run", sorted(MULTISTART_RUNS))
     @pytest.mark.parametrize("family", sorted(MULTISTART_FAMILIES))
@@ -435,13 +460,63 @@ class TestRho1Multistart:
                 hits += 1
         assert hits >= 0.95 * trials
 
-    def test_restart_range_split_matches_serial(self):
-        A = random_symmetric(7, 55)
-        rng = Rng(66)
-        full = rho1_multistart(A, restarts=16, rng=rng)
-        lo = rho1_multistart(A, restarts=16, rng=Rng(66), restart_indices=range(8))
-        hi = rho1_multistart(A, restarts=16, rng=Rng(66), restart_indices=range(8, 16))
-        assert max(lo.lower, hi.lower) == full.lower
+    @pytest.mark.parametrize("n", [7, 30, 255, 257, 400, 513])
+    def test_restart_range_split_matches_serial(self, n):
+        # from n = 255 on: sizes where unpadded gemm blocks gave a row other
+        # bits beside other rows
+        A = build_T(n, Rng(55 + n)) if n > 7 else random_symmetric(n, 55)
+
+        def run(indices):
+            return rho1_multistart(A, steps=20, rng=Rng(66),
+                                   restart_indices=indices)
+
+        full = rho1_multistart(A, restarts=16, steps=20, rng=Rng(66))
+        singles = [run([r]) for r in range(16)]
+        halves = [run(range(8)), run(range(8, 16))]
+        for parts in (singles, halves):
+            best = max(parts, key=lambda rep: rep.lower)  # first of the best
+            assert best.lower == full.lower
+            assert best.witness.tobytes() == full.witness.tobytes()
+        # in reversed order the last restart in index order wins a tie
+        rev = run(range(15, -1, -1))
+        last = max(reversed(singles), key=lambda rep: rep.lower)
+        assert rev.lower == full.lower
+        assert rev.witness.tobytes() == last.witness.tobytes()
+        # copies of one restart fill every row of two gemm blocks
+        for r, single in enumerate(singles):
+            copies = run([r] * 16)
+            assert copies.lower == single.lower
+            assert copies.witness.tobytes() == single.witness.tobytes()
+
+    def test_blas_thread_count_leaves_digest_unchanged(self):
+        # unpadded 8-row gemm blocks changed bits with the OpenBLAS thread
+        # count at n = 400 and 513
+        code = (
+            "import hashlib\n"
+            "from l1gram import Rng, build_T, rho1_multistart\n"
+            "h = hashlib.sha256()\n"
+            "for n in (400, 513):\n"
+            "    rep = rho1_multistart(build_T(n, Rng(n)), restarts=16,"
+            " steps=20, rng=Rng(n))\n"
+            "    h.update(repr(rep.lower).encode())\n"
+            "    h.update(rep.witness.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        # run from the directory that holds the imported package, so the
+        # child imports the same l1gram
+        digests = [
+            subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True,
+                           cwd=Path(l1gram.__file__).parents[1],
+                           env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                           ).stdout
+            for threads in ("1", "2")
+        ]
+        assert digests[0] == digests[1]
+
+    def test_empty_restart_indices_rejected(self):
+        with pytest.raises(ValueError, match="restart_indices"):
+            rho1_multistart(GramMatrix.identity(3), rng=Rng(1), restart_indices=[])
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):

@@ -239,8 +239,10 @@ FROZEN_DIGESTS = {
         "2a40d68079aa87e1f2373ad8b0ee482285799b23a30411fa8bc042340997217e",
     # re-recorded when piplus_lower became the certified pick of
     # certify_ratio; was f44595c7afaab22451c0ac1444b1f1e034e7c589c3443b3ca2eec29b965a3ca4
+    # re-recorded when the multistart gradient became 8-row gemm blocks
+    # against a 32-padded T; was da1a438c226f3986aa946b6f6f480c5295444df5c56f9d8180ec9990ac3fa44a
     "scaling-heuristic":
-        "da1a438c226f3986aa946b6f6f480c5295444df5c56f9d8180ec9990ac3fa44a",
+        "7eb097a119574f2fd0c70d267840e198ea332c1ec12b5060a8653761286d7ac5",
     "lemmas":
         "ff3e8d0016db27ba137cf04d8ee914c7b7a233e3701f23bc88a63c987a1429f7",
 }
