@@ -2,7 +2,8 @@
 
 Subcommands: decompose, compare, scaling, lemmas, bounds.  Exit codes:
 0 success, 2 validation failure (bad input or arguments), 3 numerical
-failure.  L1GRAM_THREADS caps experiment parallelism.
+failure.  The experiment suites run serially and emit their rows in grid
+order.
 """
 
 from __future__ import annotations
@@ -177,8 +178,7 @@ def _cmd_bounds(args) -> int:
     reports.append(r1)
     rank1 = piplus_rank1_lower(A, r1)
     reports.append(rank1)
-    reports.append(piplus_dual_upper(A, tol=args.tol_dual,
-                                     lower_hint=rank1.lower))
+    reports.append(piplus_dual_upper(A, tol=args.tol_dual))
     payload = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

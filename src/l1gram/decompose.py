@@ -7,6 +7,7 @@ Both keep the total cost sum_k ||x_k||_1^2 at or below n * tr(A).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -314,6 +315,8 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE,
 
 def validate(dec: Decomposition, A, tol_rec: float = 1e-9) -> ValidationReport:
     """Check reconstruction, cost bookkeeping and the n*tr(A) bound."""
+    if not (math.isfinite(tol_rec) and tol_rec >= 0.0):
+        raise ValueError(f"tol_rec must be finite and >= 0, got {tol_rec!r}")
     a = as_matrix_array(A)
     n = a.shape[0]
     messages = []

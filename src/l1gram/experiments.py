@@ -2,9 +2,8 @@
 
 Every suite runs its (n, count-per-n) grid through one expander, _run_grid,
 under one seed rule: cell i, counting through the ns in order, gets seed
-base_seed + i.  Cells run in parallel when the L1GRAM_THREADS environment
-variable allows it, and their rows come out in grid order whatever the
-completion order; each suite then adds its summary rows.  Only wall_time_ms
+base_seed + i.  Cells run one after another, and their rows come out in
+grid order; each suite then adds its summary rows.  Only wall_time_ms
 varies between runs.
 """
 
@@ -13,9 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -56,22 +53,6 @@ class ExperimentRow:
     wall_time_ms: int = 0
 
 
-def thread_count() -> int:
-    raw = os.environ.get("L1GRAM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_cells(fn: Callable, cells: Sequence) -> List:
-    workers = thread_count()
-    if workers == 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))  # map preserves submission order
-
-
 def rows_to_csv_text(rows: Sequence[ExperimentRow]) -> str:
     buf = io.StringIO()
     buf.write(",".join(CSV_FIELDS) + "\n")
@@ -108,22 +89,17 @@ def _run_grid(experiment: str, ns: Sequence[int], per_n: int, base_seed: int,
     if not ns or per_n < 1 or any(n < 1 for n in ns):
         raise ValueError(
             "need at least one n, and every n and the count per n must be >= 1")
-    cells = [(n, base_seed + i * per_n + t)
-             for i, n in enumerate(ns) for t in range(per_n)]
-
-    def timed(cell):
-        n, seed = cell
-        t0 = time.perf_counter()
-        rows, extra = run_cell(n, seed)
-        ms = int(1000 * (time.perf_counter() - t0))
-        return [ExperimentRow(experiment, n, seed, q, v, m, c, ms)
-                for q, v, m, c in rows], extra
-
-    blocks = [(n, [], []) for n in ns]
-    for i, (rows, extra) in enumerate(_map_cells(timed, cells)):
-        _, out, extras = blocks[i // per_n]
-        out += rows
-        extras.append(extra)
+    blocks = []
+    for i, n in enumerate(ns):
+        out, extras = [], []
+        for seed in range(base_seed + i * per_n, base_seed + (i + 1) * per_n):
+            t0 = time.perf_counter()
+            rows, extra = run_cell(n, seed)
+            ms = int(1000 * (time.perf_counter() - t0))
+            out += [ExperimentRow(experiment, n, seed, q, v, m, c, ms)
+                    for q, v, m, c in rows]
+            extras.append(extra)
+        blocks.append((n, out, extras))
     return blocks
 
 
@@ -247,6 +223,9 @@ def run_lemmas(ns: Sequence[int], trials: int, base_seed: int, c: float = 3.0,
     restricted norm at each subset fraction alpha next to its failure
     probability bound.
     """
+    if not all(0.0 < alpha < 1.0 for alpha in alphas):
+        raise ValueError("alpha must lie in (0, 1)")
+
     def run_cell(n, seed):
         if n < 2:
             return [], False
@@ -304,6 +283,5 @@ __all__ = [
     "run_compare",
     "run_lemmas",
     "run_scaling",
-    "thread_count",
     "write_rows",
 ]

@@ -488,7 +488,7 @@ class TestRho1Multistart:
             assert copies.lower == single.lower
             assert copies.witness.tobytes() == single.witness.tobytes()
 
-    def test_blas_thread_count_leaves_digest_unchanged(self):
+    def test_blas_threads_leave_digest_unchanged(self):
         # unpadded 8-row gemm blocks changed bits with the OpenBLAS thread
         # count at n = 400 and 513
         code = (

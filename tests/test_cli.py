@@ -71,6 +71,16 @@ class TestDecomposeCommand:
         p.write_text("3\n1 0 0\n")
         assert main(["decompose", str(p)]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_reconstruction_tolerance_exits_2(self, tol, tmp_path, capsys):
+        p = write_ones(tmp_path)
+        out = tmp_path / "dec.txt"
+        assert main(["decompose", str(p), "--tol-rec", tol, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: tol_rec must be finite and >= 0" in err
+        assert "validation:" not in err
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def test_csv_deterministic_apart_from_wall_time(self, tmp_path):
@@ -157,6 +167,19 @@ class TestLemmasCommand:
         assert "tail_bound" in text
         assert "witness_c_threshold" in text
 
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_alpha_outside_unit_interval_exits_2(self, alpha, tmp_path, capsys,
+                                                 monkeypatch):
+        # the alphas are checked before any cell of the grid is sampled
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the grid ran before the alphas were checked")
+        monkeypatch.setattr("l1gram.experiments.sample_W", no_sampling)
+        out = tmp_path / "l.csv"
+        assert main(["lemmas", "--n", "12", "--trials", "2", "--alphas", alpha,
+                     "--out", str(out)]) == 2
+        assert "error: alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoundsCommand:
     def test_small_matrix_reports(self, tmp_path, capsys):
@@ -185,29 +208,6 @@ class TestBoundsCommand:
         assert main(["bounds", str(p), "--restarts", "8", "--steps", "100"]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["method"] == "multistart"
-
-
-SUITES = {
-    "compare": lambda: run_compare([5], 6, "wishart", 3),
-    "scaling-exact": lambda: run_scaling([4, 5], 3, 3, mode="exact"),
-    "scaling-heuristic": lambda: run_scaling([20, 30], 2, 4, mode="heuristic",
-                                             restarts=4, steps=50),
-    "lemmas": lambda: run_lemmas([1, 8, 12], 3, 5, c=1.5),
-}
-
-
-def strip_rows(rows):
-    return [(r.experiment, r.n, r.seed, r.quantity, r.value, r.method,
-             r.certificate) for r in rows]
-
-
-class TestThreadEnvVariable:
-    @pytest.mark.parametrize("suite", sorted(SUITES))
-    def test_parallel_rows_match_serial(self, suite, monkeypatch):
-        serial = SUITES[suite]()
-        monkeypatch.setenv("L1GRAM_THREADS", "4")
-        parallel = SUITES[suite]()
-        assert strip_rows(serial) == strip_rows(parallel)
 
 
 def rows_digest(rows):
@@ -253,10 +253,8 @@ class TestFrozenExperiments:
     recorded before the suites shared one grid expander and one ensemble
     factory."""
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("run", sorted(FROZEN_RUNS))
-    def test_rows_digest(self, run, threads, monkeypatch):
-        monkeypatch.setenv("L1GRAM_THREADS", threads)
+    def test_rows_digest(self, run):
         assert rows_digest(FROZEN_RUNS[run]()) == FROZEN_DIGESTS[run]
 
 
