@@ -39,17 +39,15 @@ from .errors import (
     SingularPivotError,
 )
 from .linalg import (
-    EigenSystem,
     GramMatrix,
     entrywise_one_norm,
     max_eigenvalue,
     min_eigenvalue,
     operator_norm,
     project_l1_sphere,
-    symmetric_eigen,
     trace,
 )
-from .matio import load_matrix, save_decomposition, save_matrix, save_report
+from .matio import load_matrix, save_decomposition, save_matrix
 from .randcert import (
     BaiYinSummary,
     KappaEstimate,

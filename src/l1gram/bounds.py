@@ -366,8 +366,8 @@ def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCerti
     off = arr[~np.eye(n, dtype=bool)]
     if np.abs(np.abs(off) - 1.0).max() != 0.0:
         raise ValueError("off-diagonal entries of W must be exactly +-1")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
     a = c * n ** (-1.5)
     b = (1.0 - a * n) / (n * (n - 1.0))
     A = a * np.eye(n) + b * arr
@@ -566,7 +566,7 @@ class RatioCertificate:
 
 def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
                   n_cap: int = DEFAULT_N_CAP, restarts: int = 64,
-                  steps: int = 500, kappa_budget: int = 2000) -> RatioCertificate:
+                  steps: int = 500) -> RatioCertificate:
     """Sample W from the seed, build T and bound piplus/rho1 from below.
 
     exact mode (n <= n_cap) divides by the enumerated rho1; structured mode
@@ -589,7 +589,7 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
         denom = rho1_rep.upper
     elif mode == "structured":
         ms = rho1_multistart(T, restarts=restarts, steps=steps, rng=root.child(1))
-        kap = estimate_kappa_for(W, beta=0.125, rng=root.child(2), budget=kappa_budget)
+        kap = estimate_kappa_for(W, beta=0.125, rng=root.child(2))
         kappa = kap.alpha
         full = operator_norm(W)
         # the bound only needs the norm at the chosen k to be exact; whether

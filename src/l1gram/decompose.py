@@ -13,7 +13,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import NotPositiveSemidefiniteError, SingularPivotError
+from .errors import (EigenConvergenceError, NotPositiveSemidefiniteError,
+                     SingularPivotError)
 from .linalg import GramMatrix, as_matrix_array, entrywise_one_norm, min_eigenvalue
 from .rng import Rng
 
@@ -131,25 +132,25 @@ def _require_psd(a: np.ndarray, tol_psd: Optional[float]) -> None:
         raise NotPositiveSemidefiniteError(lam_min, tol)
 
 
-def eigen_decomposer(A, tol_psd: Optional[float] = None,
-                     tol_rank: Optional[float] = None) -> Decomposition:
+def eigen_decomposer(A) -> Decomposition:
     """Decompose a PSD matrix through its eigensystem.
 
-    Keeps the factors sqrt(lambda_k) v_k for eigenvalues above ``tol_rank``;
-    the total cost sum lambda_k ||v_k||_1^2 never exceeds n * tr(A).
+    Keeps the factors sqrt(lambda_k) v_k, in descending eigenvalue order, for
+    eigenvalues above 1e-12 * max(1, lambda_max); the total cost
+    sum lambda_k ||v_k||_1^2 never exceeds n * tr(A).  An eigenvalue below
+    -default_psd_tolerance raises NotPositiveSemidefiniteError.
     """
-    from .linalg import symmetric_eigen
-
     a = as_matrix_array(A)
-    tol = default_psd_tolerance(a) if tol_psd is None else tol_psd
-    es = symmetric_eigen(a)
-    lam = es.eigenvalues
+    tol = default_psd_tolerance(a)
+    try:
+        lam, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    lam, v = lam[::-1], v[:, ::-1]  # descending
     if lam[-1] < -tol:
         raise NotPositiveSemidefiniteError(lam[-1], tol)
-    if tol_rank is None:
-        tol_rank = 1e-12 * max(1.0, float(lam[0]))
-    keep = lam > tol_rank
-    vecs = (es.eigenvectors[:, keep] * np.sqrt(lam[keep])).T
+    keep = lam > 1e-12 * max(1.0, float(lam[0]))
+    vecs = (v[:, keep] * np.sqrt(lam[keep])).T
     if vecs.shape[0] == 0:
         vecs = np.zeros((0, a.shape[0]))
     costs = np.abs(vecs).sum(axis=1) ** 2
@@ -251,24 +252,23 @@ def _select_pivot(a: np.ndarray, rule: PivotRule, active: np.ndarray,
 
 def greedy_peel(A, rule: PivotRule = DEFAULT_RULE,
                 max_steps: Optional[int] = None,
-                tol_stop: float = 1e-12,
-                tol_pivot: Optional[float] = None,
                 tol_psd: Optional[float] = None) -> Decomposition:
     """Peel rank-one factors until the residual trace is negligible.
 
     Each step is one peel_step on the raw residual, so at most n vectors are
-    emitted (each step zeroes one row/column).  A row whose diagonal is at
-    most ``tol_pivot`` is exhausted and skipped when ||a_j||_2 <=
-    sqrt(max(a_jj, tol_pivot) * tr) + tol_pivot * n, tr being the trace left
+    emitted (each step zeroes one row/column); peeling stops once the trace
+    left is at most 1e-12 |tr A|.  With tol = default_pivot_tolerance(A), a
+    row whose diagonal is at most tol is exhausted and skipped when
+    ||a_j||_2 <= sqrt(max(a_jj, tol) * tr) + tol * n, tr being the trace left
     at that step; a longer row cannot belong to a PSD residual and raises
     SingularPivotError.
     """
     a = as_matrix_array(A)
     n = a.shape[0]
     _require_psd(a, tol_psd)
-    tol = default_pivot_tolerance(a) if tol_pivot is None else tol_pivot
+    tol = default_pivot_tolerance(a)
     tr0 = float(np.trace(a))
-    stop_at = tol_stop * abs(tr0)
+    stop_at = 1e-12 * abs(tr0)
     cap = n if max_steps is None else max(0, min(max_steps, n))
 
     order = None

@@ -51,10 +51,6 @@ class SingularPivotError(L1GramError):
 class EigenConvergenceError(L1GramError):
     """The symmetric eigensolver failed to converge."""
 
-    def __init__(self, message, residual=None):
-        self.residual = residual
-        super().__init__(message)
-
 
 class ParseError(L1GramError):
     """A matrix text file failed to parse."""

@@ -1,4 +1,4 @@
-"""Dense symmetric matrices: eigendecomposition, norms, l1 projections.
+"""Dense symmetric matrices: eigenvalues, norms, l1 projections.
 
 All matrices are real symmetric, stored dense in float64; vectors are plain
 1-d float64 arrays.  ``GramMatrix`` enforces symmetry at construction; every
@@ -6,8 +6,6 @@ operation here is a pure function.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +51,6 @@ class GramMatrix:
         obj._a = a
         return obj
 
-    @classmethod
-    def identity(cls, n: int) -> "GramMatrix":
-        return cls._wrap(np.eye(n))
-
     @property
     def n(self) -> int:
         return self._a.shape[0]
@@ -77,18 +71,6 @@ def as_matrix_array(A) -> np.ndarray:
     return GramMatrix(A).entries
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (descending) and orthonormal eigenvectors (columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
-
 def entrywise_one_norm(A) -> float:
     """Sum of absolute values of all entries."""
     return float(np.abs(as_matrix_array(A)).sum())
@@ -96,32 +78,6 @@ def entrywise_one_norm(A) -> float:
 
 def trace(A) -> float:
     return float(np.trace(as_matrix_array(A)))
-
-
-def symmetric_eigen(A, tol_eig: float = 1e-10, verify: bool = False) -> EigenSystem:
-    """Full symmetric eigendecomposition, eigenvalues sorted descending.
-
-    With ``verify=True`` the residual ||A v - lambda v|| is checked against
-    ``tol_eig * ||A||_F`` and a failure raises ``EigenConvergenceError``
-    carrying the residual.
-    """
-    a = as_matrix_array(A)
-    try:
-        lam, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    lam = lam[::-1].copy()
-    v = v[:, ::-1].copy()
-    if verify:
-        scale = np.linalg.norm(a)
-        resid = float(np.abs(a @ v - v * lam).max())
-        if resid > tol_eig * max(scale, 1e-300):
-            raise EigenConvergenceError(
-                f"eigendecomposition residual {resid:.3e} exceeds "
-                f"{tol_eig:.1e} * ||A||_F",
-                residual=resid,
-            )
-    return EigenSystem(eigenvalues=lam, eigenvectors=v)
 
 
 def _eigvals(A) -> np.ndarray:

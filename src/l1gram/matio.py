@@ -1,4 +1,5 @@
-"""Plain-text matrix files, decomposition exports and report JSON.
+"""Plain-text matrix files, decomposition exports and the report dicts
+of the bounds JSON.
 
 Matrix format: first line is n, then n lines of n decimal scalars separated
 by single spaces.  The parser accepts scientific notation and any run of
@@ -7,10 +8,6 @@ exactly.
 """
 
 from __future__ import annotations
-
-import json
-import os
-from typing import Optional
 
 import numpy as np
 
@@ -75,31 +72,12 @@ def save_decomposition(path, dec: Decomposition) -> None:
             fh.write(f"{i} {_fmt(dec.costs[i])} {entries}\n")
 
 
-def report_to_dict(report: BoundReport, witness_path: Optional[str] = None) -> dict:
+def report_to_dict(report: BoundReport) -> dict:
     return {
         "quantity": report.quantity,
         "lower": report.lower,
         "upper": report.upper,
         "method": report.method,
         "certificate": report.certificate,
-        "witness_path": witness_path,
+        "witness_path": None,  # kept so the bounds JSON bytes stay stable
     }
-
-
-def save_report(path, report: BoundReport, witness_dir: Optional[str] = None) -> None:
-    """Write a report as JSON; the witness, if any, goes to a side file."""
-    witness_path = None
-    if report.witness is not None and witness_dir is not None:
-        base = os.path.splitext(os.path.basename(path))[0]
-        witness_path = os.path.join(witness_dir, f"{base}.witness.txt")
-        w = report.witness
-        if isinstance(w, GramMatrix):
-            save_matrix(witness_path, w)
-        else:
-            vec = np.asarray(w, dtype=np.float64)
-            with open(witness_path, "w") as fh:
-                fh.write(f"{vec.size}\n")
-                fh.write(" ".join(_fmt(v) for v in vec) + "\n")
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report, witness_path), fh, indent=2)
-        fh.write("\n")

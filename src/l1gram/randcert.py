@@ -20,6 +20,7 @@ from .rng import Rng
 
 EXHAUSTIVE_SUBSET_CAP = 10**6
 _STACK_CAP = 1 << 17  # float64 block entries per stacked eigvalsh or solve call
+KAPPA_SAMPLES = 2000  # Monte Carlo subsets per size in estimate_kappa_for
 
 
 def sample_W(n: int, rng: Rng) -> GramMatrix:
@@ -200,27 +201,26 @@ def max_restricted_norm(W, k: int, mode: str = "auto",
 class KappaEstimate:
     """Largest subset fraction alpha with restricted norm <= beta * sqrt(n).
 
-    ``degenerate`` marks the regime beta * sqrt(n) < 1 where already every
-    pair of indices violates the bound (any 2x2 principal submatrix of a
-    hollow +-1 matrix has norm 1), so alpha < 2/n.  ``restricted_exhaustive``
-    says the norm at the returned k is exact, which is what certifies bounds
-    built from (alpha, restricted_norm).
+    alpha = k / n; ``restricted_norm`` is the max norm over size-k principal submatrices;
+    ``restricted_exhaustive`` says it is exact (every subset scanned), which
+    is what certifies bounds built from (alpha, restricted_norm).  When
+    beta * sqrt(n) < 1 only k = 1 qualifies on a hollow +-1 matrix (its 2x2
+    principal submatrices have norm 1).
     """
 
     alpha: float
     k: int
-    beta: float
-    degenerate: bool
     restricted_norm: float
     restricted_exhaustive: bool = False
 
 
-def estimate_kappa_for(W, beta: float, rng: Rng, budget: int = 2000) -> KappaEstimate:
+def estimate_kappa_for(W, beta: float, rng: Rng) -> KappaEstimate:
     """Find the largest k with max-restricted-norm(k) <= beta * sqrt(n).
 
     Gallops k upward from 1 (size 1 always qualifies on a hollow diagonal)
     and then bisects the bracket; the restricted norm is monotone in k so the
-    qualifying set is a prefix.
+    qualifying set is a prefix.  Sizes beyond the exhaustive cap are scanned
+    with KAPPA_SAMPLES Monte Carlo subsets.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -234,7 +234,7 @@ def estimate_kappa_for(W, beta: float, rng: Rng, budget: int = 2000) -> KappaEst
 
     def norm_at(k):
         if k not in cache:
-            cache[k] = max_restricted_norm(W, k, mode="auto", samples=budget,
+            cache[k] = max_restricted_norm(W, k, mode="auto", samples=KAPPA_SAMPLES,
                                            rng=rng.child(k))
         return cache[k]
 
@@ -254,12 +254,9 @@ def estimate_kappa_for(W, beta: float, rng: Rng, budget: int = 2000) -> KappaEst
         else:
             hi = mid
     est = norm_at(lo)
-    degenerate = n >= 2 and target < 1.0
     return KappaEstimate(
         alpha=lo / n,
         k=lo,
-        beta=beta,
-        degenerate=degenerate,
         restricted_norm=est.value,
         restricted_exhaustive=est.mode == "exhaustive",
     )

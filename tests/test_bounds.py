@@ -69,7 +69,7 @@ def random_symmetric(n, seed):
 class TestRho1Exact:
     def test_identity_families(self):
         for n in (1, 2, 4):
-            rep = rho1_exact(GramMatrix.identity(n))
+            rep = rho1_exact(GramMatrix(np.eye(n)))
             assert rep.lower == rep.upper == pytest.approx(1.0, abs=1e-12)
             assert rep.certificate == "exact"
 
@@ -101,7 +101,7 @@ class TestRho1Exact:
 
     def test_cap_refusal(self):
         with pytest.raises(ValueError, match="multistart"):
-            rho1_exact(GramMatrix.identity(13))
+            rho1_exact(GramMatrix(np.eye(13)))
 
     def test_scale_covariance(self):
         A = random_symmetric(5, 123)
@@ -215,7 +215,7 @@ FROZEN_RHO1_INPUTS = {
     "intgauss12": lambda: GramMatrix(np.round(2 * random_symmetric(12, 4112).entries)),
     "rank1_8": lambda: GramMatrix(np.outer(np.arange(1.0, 9.0), np.arange(1.0, 9.0))),
     "wishart12": lambda: sample_wishart(12, Rng(4212)),
-    "eye12": lambda: GramMatrix.identity(12),
+    "eye12": lambda: GramMatrix(np.eye(12)),
     "ties4": lambda: GramMatrix(
         [[-1.0, 0.0, 1.0, 1.0], [0.0, -1.0, -1.0, 1.0], [1.0, -1.0, 0.0, 0.0],
          [1.0, 1.0, 0.0, 0.0]]),
@@ -343,7 +343,7 @@ MULTISTART_FAMILIES = {
     "gauss": lambda: [random_symmetric(n, 5000 + n) for n in range(1, 41)],
     "T": lambda: [build_T(n, Rng(6000 + n)) for n in range(1, 41)],
     "special": lambda: [
-        GramMatrix.identity(6),
+        GramMatrix(np.eye(6)),
         GramMatrix(-np.eye(6)),
         GramMatrix(np.ones((6, 6))),
         GramMatrix(np.outer(np.arange(1.0, 9.0), np.arange(1.0, 9.0))),
@@ -443,7 +443,7 @@ class TestRho1MultistartFrozen:
 
 class TestRho1Multistart:
     def test_identity_five(self):
-        rep = rho1_multistart(GramMatrix.identity(5), restarts=10, rng=Rng(1))
+        rep = rho1_multistart(GramMatrix(np.eye(5)), restarts=10, rng=Rng(1))
         assert rep.lower == pytest.approx(1.0, abs=1e-6)
         assert rep.certificate == "heuristic"
 
@@ -516,20 +516,21 @@ class TestRho1Multistart:
 
     def test_empty_restart_indices_rejected(self):
         with pytest.raises(ValueError, match="restart_indices"):
-            rho1_multistart(GramMatrix.identity(3), rng=Rng(1), restart_indices=[])
+            rho1_multistart(GramMatrix(np.eye(3)), rng=Rng(1), restart_indices=[])
 
     def test_requires_rng(self):
         with pytest.raises(ValueError):
-            rho1_multistart(GramMatrix.identity(2))
+            rho1_multistart(GramMatrix(np.eye(2)))
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="steps"):
-            rho1_multistart(GramMatrix.identity(2), steps=-1, rng=Rng(1))
+            rho1_multistart(GramMatrix(np.eye(2)), steps=-1, rng=Rng(1))
 
 
 class TestPiplusRank1Lower:
     def test_identity(self):
-        rep = piplus_rank1_lower(GramMatrix.identity(2), rho1_exact(GramMatrix.identity(2)))
+        I2 = GramMatrix(np.eye(2))
+        rep = piplus_rank1_lower(I2, rho1_exact(I2))
         assert rep.lower == pytest.approx(1.0, abs=1e-12)
         assert rep.certificate == "certified_bound"
 
@@ -581,7 +582,7 @@ class TestPiplusWitness:
         with pytest.raises(ValueError):
             piplus_witness(sample_W(1, Rng(0)), 1.0)  # n < 2
         with pytest.raises(ValueError):
-            piplus_witness(GramMatrix.identity(3), 1.0)  # not hollow
+            piplus_witness(GramMatrix(np.eye(3)), 1.0)  # not hollow
         with pytest.raises(ValueError):
             piplus_witness(GramMatrix([[0.0, 0.5], [0.5, 0.0]]), 0.3)  # not +-1
         with pytest.raises(ValueError):
@@ -597,7 +598,7 @@ class TestPiplusWitness:
 
 class TestPiplusDualUpper:
     def test_identity_sandwich(self):
-        T = GramMatrix.identity(4)
+        T = GramMatrix(np.eye(4))
         up = piplus_dual_upper(T)
         lo = piplus_rank1_lower(T, rho1_exact(T))
         assert up.upper == pytest.approx(1.0, abs=1e-6)

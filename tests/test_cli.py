@@ -280,12 +280,25 @@ def test_negative_steps_exit_2(command, tmp_path, capsys):
     # both commands reach rho1_multistart: heuristic scaling, and bounds on a
     # matrix above the exact-enumeration cap
     big = tmp_path / "big.txt"
-    save_matrix(big, GramMatrix.identity(13))
+    save_matrix(big, GramMatrix(np.eye(13)))
     argv = {"scaling": ["scaling", "--n", "20", "--seeds", "1", "--mode", "heuristic"],
             "bounds": ["bounds", str(big)]}[command]
     out = tmp_path / "out.txt"
     assert main(argv + ["--steps", "-1", "--out", str(out)]) == 2
     assert "steps must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--n", "4", "--seeds", "1", "--mode", "exact"],
+    ["scaling", "--n", "20", "--seeds", "1", "--mode", "heuristic", "--steps", "5"],
+    ["lemmas", "--n", "12", "--trials", "1"],
+], ids=["scaling-exact", "scaling-heuristic", "lemmas"])
+def test_non_finite_witness_c_exits_2(argv, c, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--c", c, "--out", str(out)]) == 2
+    assert "error: c must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
 
 

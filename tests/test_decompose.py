@@ -42,6 +42,30 @@ class TestEigenDecomposer:
         assert sorted(dec.costs.tolist()) == pytest.approx([1.0, 2.0], rel=1e-12)
         assert dec.total_cost == pytest.approx(3.0, rel=1e-12)
 
+    def test_diagonal_factors_in_descending_order(self):
+        dec = eigen_decomposer(GramMatrix(np.diag([1.0, 3.0])))
+        assert np.allclose(np.abs(dec.vectors), [[0.0, np.sqrt(3.0)], [1.0, 0.0]])
+        assert dec.costs == pytest.approx([3.0, 1.0], rel=1e-12)
+
+    def test_two_by_two(self):
+        # eigenpairs (3, (1, 1)/sqrt 2) and (1, (1, -1)/sqrt 2)
+        dec = eigen_decomposer(GramMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        assert np.allclose(np.abs(dec.vectors),
+                           [[np.sqrt(1.5)] * 2, [np.sqrt(0.5)] * 2], atol=1e-12)
+        assert dec.costs == pytest.approx([6.0, 2.0], rel=1e-12)
+
+    @pytest.mark.parametrize("seed, n, p", [(400, 10, 10), (401, 26, 26),
+                                            (402, 30, 12)])
+    def test_wishart_factors_in_descending_eigenvalue_order(self, seed, n, p):
+        A = sample_wishart(n, Rng(seed), p=p)
+        dec = eigen_decomposer(A)
+        assert dec.k == min(n, p)
+        sq = (dec.vectors ** 2).sum(axis=1)  # ||x_k||_2^2 = lambda_k
+        lam = np.linalg.eigvalsh(A.entries)[::-1][:dec.k]
+        assert sq == pytest.approx(lam, rel=1e-10)
+        assert np.all(np.diff(sq) <= 1e-12 * sq[0])
+        assert np.abs(dec.reconstruct() - A.entries).max() <= 1e-10 * trace(A)
+
     def test_rank_one_recovery(self):
         x = np.array([1.0, -2.0])
         dec = eigen_decomposer(GramMatrix(np.outer(x, x)))
@@ -166,7 +190,7 @@ class TestGreedyPeel:
 
     def test_fixed_order_must_be_distinct_indices(self):
         with pytest.raises(ValueError):
-            greedy_peel(GramMatrix.identity(3), PivotRule.fixed_order([0, 0, 1]))
+            greedy_peel(GramMatrix(np.eye(3)), PivotRule.fixed_order([0, 0, 1]))
 
     @pytest.mark.parametrize("seed, n, pivots", [
         (5, 12, [2, 5, 1, 0, 9, 3, 4, 7, 8, 11, 6, 10]),
@@ -284,7 +308,7 @@ class TestCostIdentity:
 
 class TestValidate:
     def test_identity_margin(self):
-        I3 = GramMatrix.identity(3)
+        I3 = GramMatrix(np.eye(3))
         report = validate(eigen_decomposer(I3), I3)
         assert report.ok
         assert report.reconstruction_error <= 1e-12

@@ -9,7 +9,6 @@ from l1gram import (
     min_eigenvalue,
     operator_norm,
     project_l1_sphere,
-    symmetric_eigen,
     trace,
 )
 from l1gram.linalg import _project_l1_rows
@@ -49,55 +48,25 @@ class TestGramMatrix:
             GramMatrix(np.ones((0, 0)))
 
     def test_entries_read_only(self):
-        g = GramMatrix.identity(3)
+        g = GramMatrix(np.eye(3))
         with pytest.raises(ValueError):
             g.entries[0, 0] = 5.0
 
 
 def test_entrywise_one_norm_examples():
-    assert entrywise_one_norm(GramMatrix.identity(2)) == 2.0
+    assert entrywise_one_norm(GramMatrix(np.eye(2))) == 2.0
     assert entrywise_one_norm(GramMatrix([[1.0, -2.0], [-2.0, 5.0]])) == 10.0
     assert entrywise_one_norm(ONES3) == 9.0
 
 
 def test_trace_examples():
-    assert trace(GramMatrix.identity(3)) == 3.0
+    assert trace(GramMatrix(np.eye(3))) == 3.0
     assert trace(ONES3) == 3.0
     assert trace(GramMatrix(np.diag([1.0, 2.0, 4.0]))) == 7.0
 
 
-class TestSymmetricEigen:
-    def test_diagonal_matrix(self):
-        es = symmetric_eigen(GramMatrix(np.diag([3.0, 1.0])))
-        assert np.allclose(es.eigenvalues, [3.0, 1.0])
-        assert np.allclose(np.abs(es.eigenvectors), np.eye(2))
-
-    def test_two_by_two(self):
-        es = symmetric_eigen(GramMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(es.eigenvalues, [3.0, 1.0], atol=1e-12)
-        v0 = es.eigenvectors[:, 0]
-        assert np.allclose(np.abs(v0), [1 / np.sqrt(2)] * 2, atol=1e-12)
-
-    def test_all_ones_rank_one(self):
-        es = symmetric_eigen(ONES3)
-        assert np.allclose(es.eigenvalues, [3.0, 0.0, 0.0], atol=1e-12)
-
-    def test_descending_order_and_roundtrip(self):
-        tol_eig = 1e-10
-        for t in range(5):
-            n = 10 + 8 * t
-            g = Rng(400 + t).normal(n * n).reshape(n, n)
-            A = GramMatrix((g + g.T) / 2)
-            es = symmetric_eigen(A, tol_eig=tol_eig, verify=True)
-            assert np.all(np.diff(es.eigenvalues) <= 1e-12)
-            dev = np.abs(es.reconstruct() - A.entries).max()
-            assert dev <= 10 * tol_eig * np.linalg.norm(A.entries)
-            gram = es.eigenvectors.T @ es.eigenvectors
-            assert np.abs(gram - np.eye(n)).max() <= tol_eig
-
-
 def test_min_eigenvalue_examples():
-    assert min_eigenvalue(GramMatrix.identity(2)) == 1.0
+    assert min_eigenvalue(GramMatrix(np.eye(2))) == 1.0
     assert min_eigenvalue(GramMatrix([[0.0, 1.0], [1.0, 0.0]])) == -1.0
     assert abs(min_eigenvalue(ONES3)) <= 1e-12
 

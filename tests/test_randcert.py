@@ -206,9 +206,9 @@ class TestBatchedScan:
 
 class TestEstimateKappa:
     def test_degenerate_small_n(self):
+        # beta sqrt(n) = 0.5 < 1, the norm of every 2x2 principal submatrix
         rng = Rng(5)
         est = estimate_kappa_for(sample_W(16, rng.child(0)), 0.125, rng.child(1))
-        assert est.degenerate
         assert est.alpha < 2.0 / 16.0
         assert est.k == 1
 
@@ -226,7 +226,7 @@ class TestEstimateKappa:
 
     def test_requires_hollow(self):
         with pytest.raises(ValueError):
-            estimate_kappa_for(GramMatrix.identity(4), 0.125, Rng(1))
+            estimate_kappa_for(GramMatrix(np.eye(4)), 0.125, Rng(1))
 
     def test_all_sizes_qualify_with_huge_beta(self):
         rng = Rng(2)
