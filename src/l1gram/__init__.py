@@ -32,7 +32,6 @@ from .decompose import (
 )
 from .errors import (
     AsymmetricMatrixError,
-    EigenConvergenceError,
     L1GramError,
     NotPositiveSemidefiniteError,
     ParseError,
@@ -52,10 +51,8 @@ from .randcert import (
     BaiYinSummary,
     KappaEstimate,
     SubsetNormEstimate,
-    all_ones,
     bai_yin_stat,
     build_T,
-    circulant_small_offdiag,
     estimate_kappa_for,
     make_ensemble,
     max_restricted_norm,

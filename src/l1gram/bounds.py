@@ -317,11 +317,11 @@ class WitnessCertificate:
     """The point A = a I + b W for the piplus program.
 
     ``value`` is Tr(TA) evaluated entrywise against T = -(sqrt(n)/4) I + W;
-    ``value_closed_form`` is 1 - a n - a n^{3/2}/4, which the trace algebra
-    shows is the same number for every W.  The point is a genuine witness
-    (||A||_1 = 1 with A PSD) only when b >= 0 and lambda_min >= 0; b turns
-    negative when c >= sqrt(n), where the trace identity still holds but the
-    1-norm normalization does not.
+    the trace algebra shows it equals witness_value_closed_form(n, c) for
+    every W.  The point is a genuine witness (||A||_1 = 1 with A PSD) only
+    when b >= 0 and lambda_min >= 0; b turns negative when c >= sqrt(n),
+    where the trace identity still holds but the 1-norm normalization does
+    not.
     """
 
     n: int
@@ -330,7 +330,6 @@ class WitnessCertificate:
     b: float
     A: GramMatrix
     value: float
-    value_closed_form: float
     lambda_min: Optional[float]
 
     @property
@@ -347,6 +346,11 @@ def witness_value_closed_form(n: int, c: float) -> float:
     if n < 2:
         raise ValueError("n must be >= 2")
     return 1.0 - c / math.sqrt(n) - c / 4.0
+
+
+def _check_witness_c(c: float) -> None:
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
 
 
 def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCertificate:
@@ -366,14 +370,12 @@ def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCerti
     off = arr[~np.eye(n, dtype=bool)]
     if np.abs(np.abs(off) - 1.0).max() != 0.0:
         raise ValueError("off-diagonal entries of W must be exactly +-1")
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be finite and positive, got {c!r}")
+    _check_witness_c(c)
     a = c * n ** (-1.5)
     b = (1.0 - a * n) / (n * (n - 1.0))
     A = a * np.eye(n) + b * arr
     T = shift_to_T(arr)
     value = float((T.entries * A).sum())
-    closed = 1.0 - a * n - a * n**1.5 / 4.0
     lam_min = None
     if compute_lambda_min:
         lam = np.linalg.eigvalsh(arr)
@@ -382,7 +384,6 @@ def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCerti
         n=n, c=c, a=a, b=b,
         A=GramMatrix._wrap((A + A.T) / 2.0),
         value=value,
-        value_closed_form=closed,
         lambda_min=lam_min,
     )
 
@@ -432,8 +433,7 @@ def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
     return lower, a_best, upper, y_best, False
 
 
-def piplus_dual_upper(T, tol: float = 1e-8, iter_cap: int = 60000,
-                      lower_hint: Optional[float] = None) -> BoundReport:
+def piplus_dual_upper(T, tol: float = 1e-8, iter_cap: int = 60000) -> BoundReport:
     """Certified bracket [lower, upper] on piplus from its conic dual.
 
     For Y - T PSD and A PSD with ||A||_1 <= 1, Tr(TA) <= Tr(YA) <= ||Y||_max,
@@ -455,9 +455,8 @@ def piplus_dual_upper(T, tol: float = 1e-8, iter_cap: int = 60000,
 
     The method is "dual_ap" once upper - lower <= tol * max(1, lambda_max),
     and "dual_ap(inconclusive)" when iter_cap iterations run out first;
-    both ends stay valid either way.  lower_hint is accepted and unused:
-    the bracket is closed by the solver's own lower bound.  For
-    lambda_max <= 0, piplus = 0 with witness Y = 0.
+    both ends stay valid either way.  For lambda_max <= 0, piplus = 0 with
+    witness Y = 0.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")

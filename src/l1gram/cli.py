@@ -1,9 +1,11 @@
 """Command-line driver.
 
 Subcommands: decompose, compare, scaling, lemmas, bounds.  Exit codes:
-0 success, 2 validation failure (bad input or arguments), 3 numerical
-failure.  The experiment suites run serially and emit their rows in grid
-order.
+0 success, 2 validation failure (bad input or arguments, any L1GramError
+or ValueError), 3 numerical failure (a singular peeling pivot, any LAPACK
+LinAlgError, or a decomposition that fails validation).  LinAlgError
+subclasses ValueError, so the numerical clause comes first.  The
+experiment suites run serially and emit their rows in grid order.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from .bounds import (
     rho1_multistart,
 )
 from .decompose import PivotRule, eigen_decomposer, greedy_peel, validate
-from .errors import (
-    AsymmetricMatrixError,
-    EigenConvergenceError,
-    L1GramError,
-    NotPositiveSemidefiniteError,
-    ParseError,
-    SingularPivotError,
-)
+from .errors import L1GramError, SingularPivotError
 from .experiments import run_compare, run_lemmas, run_scaling, write_rows
 from .linalg import entrywise_one_norm, trace
 from .matio import load_matrix, report_to_dict, save_decomposition
@@ -212,15 +207,10 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return _cmd_bounds(args)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ParseError, AsymmetricMatrixError, NotPositiveSemidefiniteError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (SingularPivotError, EigenConvergenceError,
-            np.linalg.LinAlgError) as exc:
+    except (SingularPivotError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except L1GramError as exc:
+    except (L1GramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

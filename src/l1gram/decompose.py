@@ -13,8 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (EigenConvergenceError, NotPositiveSemidefiniteError,
-                     SingularPivotError)
+from .errors import NotPositiveSemidefiniteError, SingularPivotError
 from .linalg import GramMatrix, as_matrix_array, entrywise_one_norm, min_eigenvalue
 from .rng import Rng
 
@@ -33,7 +32,9 @@ class PivotRule:
 
     min_cost_per_trace picks the row minimizing ||a_i||_1^2 / ||a_i||_2^2,
     the per-step cost per unit of trace removed; max_trace_removal picks the
-    row maximizing ||a_i||_2^2 / A_ii.
+    row maximizing ||a_i||_2^2 / A_ii.  Those two and max_diagonal are built
+    as PivotRule(kind); fixed_order and random_order normalize their
+    arguments.
     """
 
     kind: str
@@ -49,18 +50,6 @@ class PivotRule:
             raise ValueError("random_order requires a seed")
 
     @classmethod
-    def max_diagonal(cls):
-        return cls("max_diagonal")
-
-    @classmethod
-    def min_cost_per_trace(cls):
-        return cls("min_cost_per_trace")
-
-    @classmethod
-    def max_trace_removal(cls):
-        return cls("max_trace_removal")
-
-    @classmethod
     def fixed_order(cls, order):
         return cls("fixed_order", order=tuple(int(i) for i in order))
 
@@ -74,7 +63,7 @@ class PivotRule:
         return self.kind
 
 
-DEFAULT_RULE = PivotRule.min_cost_per_trace()
+DEFAULT_RULE = PivotRule("min_cost_per_trace")
 
 
 @dataclass
@@ -142,10 +131,7 @@ def eigen_decomposer(A) -> Decomposition:
     """
     a = as_matrix_array(A)
     tol = default_psd_tolerance(a)
-    try:
-        lam, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    lam, v = np.linalg.eigh(a)
     lam, v = lam[::-1], v[:, ::-1]  # descending
     if lam[-1] < -tol:
         raise NotPositiveSemidefiniteError(lam[-1], tol)

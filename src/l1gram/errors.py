@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+LAPACK failures are not wrapped: numpy's LinAlgError propagates from every
+eigen or solve call, and the command line maps it to exit 3.
+"""
 
 
 class L1GramError(Exception):
@@ -46,10 +50,6 @@ class SingularPivotError(L1GramError):
             f"pivot {self.index}: diagonal {self.diagonal:.3e} is negligible but "
             f"row norm {self.row_norm:.3e} is not; input cannot be PSD"
         )
-
-
-class EigenConvergenceError(L1GramError):
-    """The symmetric eigensolver failed to converge."""
 
 
 class ParseError(L1GramError):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .bounds import (
     DEFAULT_N_CAP,
+    _check_witness_c,
     _piplus_lower,
     certify_ratio,
     piplus_witness,
@@ -103,11 +104,8 @@ def _run_grid(experiment: str, ns: Sequence[int], per_n: int, base_seed: int,
     return blocks
 
 
-COMPARE_RULES = (
-    PivotRule.min_cost_per_trace(),
-    PivotRule.max_diagonal(),
-    PivotRule.max_trace_removal(),
-)
+COMPARE_RULES = tuple(PivotRule(kind) for kind in (
+    "min_cost_per_trace", "max_diagonal", "max_trace_removal"))
 
 
 def run_compare(ns: Sequence[int], trials: int, ensemble: str, base_seed: int,
@@ -168,6 +166,7 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown scaling mode {mode!r}")
+    _check_witness_c(c)
     if mode == "exact" and any(n > n_cap for n in ns):
         raise ValueError(f"exact mode requires all n <= {n_cap}")
 
@@ -225,6 +224,7 @@ def run_lemmas(ns: Sequence[int], trials: int, base_seed: int, c: float = 3.0,
     """
     if not all(0.0 < alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must lie in (0, 1)")
+    _check_witness_c(c)
 
     def run_cell(n, seed):
         if n < 2:

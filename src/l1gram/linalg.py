@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AsymmetricMatrixError, EigenConvergenceError
+from .errors import AsymmetricMatrixError
 
 SYMMETRY_RTOL = 1e-8  # admissible asymmetry relative to the Frobenius norm
 
@@ -81,11 +81,7 @@ def trace(A) -> float:
 
 
 def _eigvals(A) -> np.ndarray:
-    a = as_matrix_array(A)
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigenvalue computation failed: {exc}") from exc
+    return np.linalg.eigvalsh(as_matrix_array(A))
 
 
 def min_eigenvalue(A) -> float:

@@ -57,42 +57,31 @@ def sample_wishart(n: int, rng: Rng, p: Optional[int] = None) -> GramMatrix:
     return GramMatrix._wrap((a + a.T) / 2.0)
 
 
-def all_ones(n: int) -> GramMatrix:
-    return GramMatrix._wrap(np.ones((n, n)))
-
-
-def circulant_small_offdiag(n: int, eps: Optional[float] = None) -> GramMatrix:
-    """Circulant with unit diagonal and eps on the two wrapped off-diagonals."""
-    if eps is None:
-        eps = 1.0 / (2.0 * n)
-    a = np.eye(n)
-    if n > 1:
-        idx = np.arange(n)
-        a[idx, (idx + 1) % n] += eps
-        a[(idx + 1) % n, idx] += eps
-    return GramMatrix._wrap((a + a.T) / 2.0)
-
-
 def make_ensemble(kind: str, n: int, seed: int,
                   eps: Optional[float] = None) -> GramMatrix:
     """One n x n draw of an ensemble, deterministic per seed.
 
-    kind is one of rademacher_W, shifted_T, wishart (n columns), circulant
-    (off-diagonal eps, see circulant_small_offdiag), all_ones, or diagonal
-    (entries 1 + U[0, 1)).  eps is read by circulant only.
+    kind is one of wishart (n columns), circulant (unit diagonal and eps on
+    the two wrapped off-diagonals, eps = 1/(2n) by default; a non-finite
+    eps raises ValueError), all_ones, or diagonal (entries 1 + U[0, 1)).
+    eps is read by circulant only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind == "rademacher_W":
-        return sample_W(n, Rng(seed))
-    if kind == "shifted_T":
-        return build_T(n, Rng(seed))
     if kind == "wishart":
         return sample_wishart(n, Rng(seed))
     if kind == "circulant":
-        return circulant_small_offdiag(n, eps)
+        eps = 1.0 / (2.0 * n) if eps is None else eps
+        if not math.isfinite(eps):
+            raise ValueError(f"eps must be finite, got {eps!r}")
+        a = np.eye(n)
+        if n > 1:
+            idx = np.arange(n)
+            a[idx, (idx + 1) % n] += eps
+            a[(idx + 1) % n, idx] += eps
+        return GramMatrix._wrap(a)
     if kind == "all_ones":
-        return all_ones(n)
+        return GramMatrix._wrap(np.ones((n, n)))
     if kind == "diagonal":
         return GramMatrix._wrap(np.diag(1.0 + Rng(seed).uniform(n)))
     raise ValueError(f"unknown ensemble {kind!r}")

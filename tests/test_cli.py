@@ -289,16 +289,57 @@ def test_negative_steps_exit_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("c", ["nan", "inf"])
+@pytest.mark.parametrize("c", ["nan", "inf", "-3"])
 @pytest.mark.parametrize("argv", [
     ["scaling", "--n", "4", "--seeds", "1", "--mode", "exact"],
     ["scaling", "--n", "20", "--seeds", "1", "--mode", "heuristic", "--steps", "5"],
     ["lemmas", "--n", "12", "--trials", "1"],
-], ids=["scaling-exact", "scaling-heuristic", "lemmas"])
+    # at n = 1 no witness is built, so c is checked before the grid runs
+    ["scaling", "--n", "1", "--seeds", "1", "--mode", "exact"],
+    ["scaling", "--n", "1", "--seeds", "1", "--mode", "heuristic", "--steps", "5"],
+    ["lemmas", "--n", "1", "--trials", "1"],
+], ids=["scaling-exact", "scaling-heuristic", "lemmas", "scaling-exact-n1",
+        "scaling-heuristic-n1", "lemmas-n1"])
 def test_non_finite_witness_c_exits_2(argv, c, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--c", c, "--out", str(out)]) == 2
     assert "error: c must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_non_finite_circulant_eps_exits_2(eps, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(["compare", "--n", "4", "--trials", "1", "--ensemble", "circulant",
+                 "--eps", eps, "--out", str(out)]) == 2
+    assert "error: eps must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _raise_lapack_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("solver,command", [
+    ("eigh", "bounds"),
+    ("eigvalsh", "bounds"),
+    ("eigh", "decompose-eigen"),
+    ("eigvalsh", "lemmas"),
+])
+def test_every_lapack_failure_exits_3(solver, command, tmp_path, capsys,
+                                      monkeypatch):
+    # LinAlgError subclasses ValueError; it must still map to the numerical
+    # exit code, whichever call site raises it
+    T = tmp_path / "t.txt"
+    save_matrix(T, l1gram.build_T(6, l1gram.Rng(3)))
+    out = tmp_path / "out.txt"
+    argv = {"bounds": ["bounds", str(T)],
+            "decompose-eigen": ["decompose", str(write_ones(tmp_path)),
+                                "--method", "eigen"],
+            "lemmas": ["lemmas", "--n", "6", "--trials", "1"]}[command]
+    monkeypatch.setattr(np.linalg, solver, _raise_lapack_failure)
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "numerical error: Eigenvalues did not converge" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,10 +7,8 @@ import pytest
 from l1gram import (
     GramMatrix,
     Rng,
-    all_ones,
     bai_yin_stat,
     build_T,
-    circulant_small_offdiag,
     estimate_kappa_for,
     make_ensemble,
     max_restricted_norm,
@@ -69,33 +67,36 @@ class TestEnsembles:
         assert min_eigenvalue(A) >= -1e-10
 
     def test_all_ones_and_diagonal(self):
-        assert np.array_equal(all_ones(3).entries, np.ones((3, 3)))
+        assert np.array_equal(make_ensemble("all_ones", 3, 0).entries, np.ones((3, 3)))
         A = make_ensemble("diagonal", 4, 9).entries
         assert np.array_equal(A, np.diag(np.diag(A)))
         assert np.all((1.0 <= np.diag(A)) & (np.diag(A) < 2.0))
 
     def test_circulant_default_eps(self):
-        A = circulant_small_offdiag(6).entries
+        A = make_ensemble("circulant", 6, 0).entries
         assert np.all(np.diag(A) == 1.0)
         assert A[0, 1] == pytest.approx(1.0 / 12.0)
         assert A[0, 5] == pytest.approx(1.0 / 12.0)  # wraps
 
     def test_make_ensemble_dispatch(self):
+        shift = np.roll(np.eye(5), 1, axis=1)
         expected = {
-            "rademacher_W": sample_W(5, Rng(1)),
-            "shifted_T": build_T(5, Rng(1)),
-            "wishart": sample_wishart(5, Rng(1)),
-            "circulant": circulant_small_offdiag(5, 0.3),
-            "all_ones": all_ones(5),
-            "diagonal": GramMatrix(np.diag(1.0 + Rng(1).uniform(5))),
+            "wishart": sample_wishart(5, Rng(1)).entries,
+            "circulant": np.eye(5) + 0.3 * (shift + shift.T),
+            "all_ones": np.ones((5, 5)),
+            "diagonal": np.diag(1.0 + Rng(1).uniform(5)),
         }
         for kind, ref in expected.items():
             A = make_ensemble(kind, 5, 1, eps=0.3)
-            assert np.array_equal(A.entries, ref.entries), kind
+            assert np.array_equal(A.entries, ref), kind
         assert np.array_equal(make_ensemble("circulant", 5, 1).entries,
-                              circulant_small_offdiag(5).entries)
-        with pytest.raises(ValueError):
-            make_ensemble("nope", 3, 1)
+                              make_ensemble("circulant", 5, 1, eps=0.1).entries)
+        for kind in ("nope", "rademacher_W", "shifted_T"):
+            with pytest.raises(ValueError, match="unknown ensemble"):
+                make_ensemble(kind, 3, 1)
+        for eps in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="eps must be finite"):
+                make_ensemble("circulant", 3, 1, eps=eps)
         with pytest.raises(ValueError):
             make_ensemble("all_ones", 0, 1)
 
