@@ -184,8 +184,9 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
     )
 
 
-# rho1_multistart prices its gradient rows in gemm blocks of _GEMM_ROWS rows
-# against T zero-padded to a multiple of _GEMM_PAD (see its docstring).
+# rho1_multistart prices each step's live gradient rows in one gemm call,
+# with the rows zero-padded to a multiple of _GEMM_ROWS and T zero-padded to
+# a multiple of _GEMM_PAD (the sweep that backs this is in its docstring).
 _GEMM_ROWS = 8
 _GEMM_PAD = 32
 
@@ -204,9 +205,10 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
     ``range(restarts)``, and ``restarts`` is then ignored.
 
     The restarts advance together as the rows of one (restarts, n) array,
-    each with its own step size and accept test; a row leaves the active
-    set once its step size underflows.  A step makes one row-wise l1-sphere
-    projection, one stacked gradient X @ T and one stacked value
+    each with its own step size and accept test; a row leaves the live set
+    once its step size underflows, and the arrays are compacted to the live
+    rows only then.  A step makes one row-wise l1-sphere projection, one
+    stacked gradient X @ T and one stacked value
     matmul(X[:, None, :], G[:, :, None]), which numpy prices row by row with
     the BLAS dot that x @ g uses on one vector.
 
@@ -214,12 +216,13 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
     priced with it, on its place among them or on the BLAS thread count.
     A plain X @ T breaks this (numpy sends one or a few rows through gemv,
     and OpenBLAS splits and tiles the product by its shape), so the live
-    rows are zero-padded to a multiple of _GEMM_ROWS and priced as that
-    many rows per gemm call, against T zero-padded to a multiple of
-    _GEMM_PAD.  On OpenBLAS 0.3.31, over n = 1..79 and 24 sizes up to 1024
-    with 1 to 4 BLAS threads, this rule kept every row's bits fixed, where
-    a plain X @ T, unpadded blocks of 16 to 64 rows and unpadded 8-row
-    blocks each failed at some n.  All other reductions run along
+    rows are zero-padded to a multiple of _GEMM_ROWS and priced in one
+    gemm call against T zero-padded to a multiple of _GEMM_PAD.  On
+    OpenBLAS 0.3.31 with 1 to 4 BLAS threads this rule kept every row's
+    bits fixed: one call over 1 to 64 padded rows gave the same bytes as
+    8-row calls and as each row alone, over n = 1..79 and 18 sizes up to
+    1024.  A plain X @ T, unpadded blocks of 16 to 64 rows and unpadded
+    8-row blocks each failed at some n.  All other reductions run along
     contiguous rows, so the serial-split promise above holds bit for bit.
     """
     if rng is None:
@@ -242,33 +245,42 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
     Yp = np.zeros((-(-len(indices) // _GEMM_ROWS) * _GEMM_ROWS, n_pad))
 
     def gradient(Y):
-        # Y @ T through the zero-padded blocks; the result is C-contiguous
+        # Y @ T through the zero-padded rows and T; the result is C-contiguous
         m = Y.shape[0]
         mb = -(-m // _GEMM_ROWS) * _GEMM_ROWS
         Yp[:m, :n] = Y
         Yp[m:mb] = 0.0
-        P = np.matmul(Yp[:mb].reshape(-1, _GEMM_ROWS, n_pad), Tp)
-        return np.ascontiguousarray(P.reshape(mb, n_pad)[:m, :n])
+        P = np.matmul(Yp[:mb], Tp)
+        return np.ascontiguousarray(P[:m, :n])
 
     step0 = 1.0 / math.sqrt(n)
     X = _project_l1_rows(np.stack([rng.child(r).normal(n) for r in indices]))
     G = gradient(X)
     f = np.matmul(X[:, None, :], G[:, :, None])[:, 0, 0]
     eta = np.full(f.size, step0)
+    # X, G, f and eta hold the live rows only; live maps them to restarts,
+    # and a row that leaves is written to X_end and f_end
     live = np.arange(f.size)
+    X_end, f_end = np.empty_like(X), np.empty_like(f)
     for _ in range(steps):
         if live.size == 0:
             break
-        e, fl = eta[live], f[live]
-        cand = _project_l1_rows(X[live] + (2.0 * e)[:, None] * G[live])
+        cand = _project_l1_rows(X + (2.0 * eta)[:, None] * G)
         gc = gradient(cand)
         fc = np.matmul(cand[:, None, :], gc[:, :, None])[:, 0, 0]
-        up = fc > fl + 1e-15 * np.abs(fl)
-        rows = live[up]
-        X[rows], G[rows], f[rows] = cand[up], gc[up], fc[up]
-        e = np.where(up, np.minimum(e * 2.0, step0), e * 0.5)
-        eta[live] = e
-        live = live[up | (e >= 1e-16 * step0)]
+        up = fc > f + 1e-15 * np.abs(f)
+        if up.all():
+            X, G, f = cand, gc, fc
+        else:
+            X[up], G[up], f[up] = cand[up], gc[up], fc[up]
+        eta = np.where(up, np.minimum(eta * 2.0, step0), eta * 0.5)
+        keep = up | (eta >= 1e-16 * step0)
+        if not keep.all():
+            gone = ~keep
+            X_end[live[gone]], f_end[live[gone]] = X[gone], f[gone]
+            X, G, f, eta, live = X[keep], G[keep], f[keep], eta[keep], live[keep]
+    X_end[live], f_end[live] = X, f
+    X, f = X_end, f_end
     best, best_x = 0.0, np.zeros(n)
     if np.any(f > 0.0):
         # the first restart in index order with the largest positive value
@@ -575,6 +587,7 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
     the rho1 search.  A zero denominator or a zero lower bound falls back to
     ratio = 1, which always holds.
     """
+    _check_witness_c(c)  # also when n = 1, where no witness is built
     root = Rng(seed)
     W = sample_W(n, root.child(0))
     T = shift_to_T(W)

@@ -189,6 +189,8 @@ def main(argv=None) -> int:
         if args.command == "decompose":
             return _cmd_decompose(args)
         if args.command == "compare":
+            if args.eps is not None and args.ensemble != "circulant":
+                raise ValueError("--eps applies only to --ensemble circulant")
             rows = run_compare(args.n, args.trials, args.ensemble, args.seed,
                                eps=args.eps)
             _emit(rows, args)

@@ -122,21 +122,38 @@ def _project_l1_rows(x: np.ndarray) -> np.ndarray:
     norm1 = a.sum(axis=1)
     if not np.all(np.isfinite(norm1) & (norm1 != 0.0)):
         raise ValueError("cannot project the zero (or non-finite) vector")
-    y = x / norm1[:, None]
     out = norm1 > 1.0
-    if out.any():
-        xo, ao = x[out], a[out]
-        u = np.sort(ao, axis=1)[:, ::-1]
-        cumsum = np.cumsum(u, axis=1)
-        ks = np.arange(1, x.shape[1] + 1)
-        # the last index where u_k k > cumsum_k - 1 (always true at k = 1)
-        rho = x.shape[1] - 1 - np.argmax((u * ks > cumsum - 1.0)[:, ::-1], axis=1)
-        theta = (cumsum[np.arange(rho.size), rho] - 1.0) / (rho + 1.0)
-        yo = ao - theta[:, None]
-        np.maximum(yo, 0.0, out=yo)
-        yo *= np.sign(xo)
-        s = np.abs(yo).sum(axis=1)
-        off = s != 1.0  # kill the last ulp of threshold roundoff
-        yo[off] /= s[off, None]
-        y[out] = yo
+    if out.all():  # the usual case in the ascent and the ADMM: no gathers
+        return _shrink_rows(x, a)
+    if not out.any():
+        return x / norm1[:, None]
+    inside = ~out
+    y = np.empty_like(x)
+    y[inside] = x[inside] / norm1[inside, None]
+    y[out] = _shrink_rows(x[out], a[out])
     return y
+
+
+def _shrink_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The l1-ball projection of rows x outside the ball, a = |x|.
+
+    The result is built in a's buffer, which the caller gives up.
+    """
+    srt = np.sort(a, axis=1)
+    u = srt[:, ::-1]
+    cumsum = np.cumsum(u, axis=1)
+    cumsum -= 1.0
+    ks = np.arange(1, x.shape[1] + 1)
+    # the last index where u_k k > cumsum_k - 1 (always true at k = 1)
+    rho = x.shape[1] - 1 - np.argmax((u * ks > cumsum)[:, ::-1], axis=1)
+    theta = cumsum[np.arange(rho.size), rho] / (rho + 1.0)
+    np.subtract(a, theta[:, None], out=a)
+    np.maximum(a, 0.0, out=a)
+    # s comes after the sign multiply: a row can end with a negative theta
+    # (its pairwise norm above 1, its sorted cumulative sum not), and then
+    # a zero entry holds -theta until its sign of 0 clears it
+    a *= np.sign(x)
+    s = np.abs(a, out=srt).sum(axis=1)
+    off = s != 1.0  # kill the last ulp of threshold roundoff
+    a[off] /= s[off, None]
+    return a

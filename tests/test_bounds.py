@@ -488,6 +488,17 @@ class TestRho1Multistart:
             assert copies.lower == single.lower
             assert copies.witness.tobytes() == single.witness.tobytes()
 
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_64_restarts_match_64_single_restarts(self, n):
+        # certify-structured's batch: 64 rows priced in one gemm call
+        A = build_T(n, Rng(77 + n))
+        full = rho1_multistart(A, restarts=64, steps=20, rng=Rng(88))
+        singles = [rho1_multistart(A, steps=20, rng=Rng(88), restart_indices=[r])
+                   for r in range(64)]
+        best = max(singles, key=lambda rep: rep.lower)  # first of the best
+        assert best.lower == full.lower
+        assert best.witness.tobytes() == full.witness.tobytes()
+
     def test_blas_threads_leave_digest_unchanged(self):
         # unpadded 8-row gemm blocks changed bits with the OpenBLAS thread
         # count at n = 400 and 513
@@ -496,10 +507,11 @@ class TestRho1Multistart:
             "from l1gram import Rng, build_T, rho1_multistart\n"
             "h = hashlib.sha256()\n"
             "for n in (400, 513):\n"
-            "    rep = rho1_multistart(build_T(n, Rng(n)), restarts=16,"
+            "    for restarts in (16, 64):\n"
+            "        rep = rho1_multistart(build_T(n, Rng(n)), restarts=restarts,"
             " steps=20, rng=Rng(n))\n"
-            "    h.update(repr(rep.lower).encode())\n"
-            "    h.update(rep.witness.tobytes())\n"
+            "        h.update(repr(rep.lower).encode())\n"
+            "        h.update(rep.witness.tobytes())\n"
             "print(h.hexdigest())\n"
         )
         # run from the directory that holds the imported package, so the
@@ -510,9 +522,9 @@ class TestRho1Multistart:
                            cwd=Path(l1gram.__file__).parents[1],
                            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)
                            ).stdout
-            for threads in ("1", "2")
+            for threads in ("1", "2", "4")
         ]
-        assert digests[0] == digests[1]
+        assert digests[0] == digests[1] == digests[2]
 
     def test_empty_restart_indices_rejected(self):
         with pytest.raises(ValueError, match="restart_indices"):
@@ -789,6 +801,13 @@ class TestCertifyRatio:
     def test_exact_mode_cap(self):
         with pytest.raises(ValueError):
             certify_ratio(13, 1, mode="exact")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -3.0, 0.0])
+    def test_witness_c_checked_at_every_n(self, n, c):
+        # n = 1 builds no witness, so c is checked before the n branch
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            certify_ratio(n, 3, c=c)
 
     def test_structured_mode_runs_and_floors(self):
         cert = certify_ratio(32, 5, mode="structured", restarts=8, steps=100)

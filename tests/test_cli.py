@@ -316,6 +316,16 @@ def test_non_finite_circulant_eps_exits_2(eps, tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("ensemble", ["wishart", "all_ones", "diagonal"])
+def test_eps_with_another_ensemble_exits_2(ensemble, tmp_path, capsys):
+    # only the circulant ensemble reads eps, so any other must refuse it
+    out = tmp_path / "rows.csv"
+    assert main(["compare", "--n", "3", "--trials", "1", "--ensemble", ensemble,
+                 "--eps", "0.1", "--out", str(out)]) == 2
+    assert "--eps applies only to --ensemble circulant" in capsys.readouterr().err
+    assert not out.exists()
+
 def _raise_lapack_failure(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 

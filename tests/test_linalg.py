@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,80 @@ class TestProjectL1Sphere:
         y = _project_l1_rows(x)
         for row, out in zip(x, y):
             assert np.array_equal(out, project_l1_sphere(row))
+
+
+# Rows a few ulps outside the unit ball whose pairwise l1 norm exceeds 1
+# while their sorted cumulative sum does not: the threshold is negative, so
+# each zero entry holds a tiny positive value until its sign of 0 clears it,
+# and the row sum before the sign multiply is one ulp larger than after.
+NEGATIVE_THRESHOLD_ROWS = [
+    [0.00258153889438211, 0.0, 0.14597092593996888, 0.036597582773014475,
+     0.003923818154445995, 0.0, 0.07435579466826817, 0.0, 0.0,
+     0.03532114822202497, 0.0, 0.0, 0.0, 0.018897637861862313,
+     0.04722466650876382, 0.008789104305565485, 0.10558848529770185,
+     0.07674898034291044, 0.025905021309203295, 0.04316929067334169,
+     0.19060745500281537, 0.04161353889627826, 0.0, 0.003415749725569707,
+     0.13928926142388345, 0.0],
+    [0.04457525874483028, 0.03898373063400682, 0.03689130372169263, 0.0,
+     0.0, 0.0, 0.023272674358156647, 0.11610700154294447,
+     0.08236420328164779, 0.07261766031291014, 0.0, 0.0, 0.08864807777462,
+     0.0007193469925193223, 0.0015225580869365147, 0.05665965704108762,
+     0.04029940099326692, 0.03591319536550011, 0.066612526576529,
+     0.014619376013618643, 0.0, 0.0, 0.02743282380531256, 0.0,
+     0.04482853640283248, 0.0, 0.0, 0.011173064252630692, 0.0, 0.0,
+     0.12637879734437274, 0.0, 0.07038080675458484],
+    [0.05036031684983438, 0.250866989158467, 0.01850922877130379,
+     0.21338756291719335, 0.10741817259807501, 0.255467182476448, 0.0,
+     0.008259588240948976, 0.09573095898772958],
+]
+
+
+def projection_batches():
+    """Batches for _project_l1_rows: every row outside the ball, every row
+    inside, mixed, and rows with tied magnitudes and signed zeros."""
+    r = Rng(31)
+    batches = []
+    for m, n in [(1, 1), (1, 5), (3, 2), (8, 7), (64, 33), (64, 512), (13, 100)]:
+        x = 3.0 * r.normal(m * n).reshape(m, n) + np.sign(r.normal(m * n)).reshape(m, n)
+        x[np.abs(x).sum(axis=1) <= 1.0] *= 4.0
+        batches.append(x)  # all outside
+        inside = x / (np.abs(x).sum(axis=1)[:, None] * (1.5 + r.uniform(m)[:, None]))
+        batches.append(inside)  # all inside
+        mixed = x.copy()
+        mixed[::2] = inside[::2]
+        batches.append(mixed)
+    ties = np.array([
+        [0.5, -0.5, 0.5, -0.5, 0.5, 0.0, 0.25],
+        [2.0, -2.0, 2.0, 1.0, -1.0, 1.0, 0.0],
+        [0.1, -0.1, 0.1, -0.1, 0.1, -0.1, 0.1],
+        [-0.0, 3.0, 0.0, -3.0, -0.0, 0.0, 3.0],
+        [-0.0, 0.2, 0.0, -0.2, -0.0, 0.0, 0.2],
+        [1.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+        [-4.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+        [1 / 7, -1 / 7, 1 / 7, -1 / 7, 1 / 7, -1 / 7, 1 / 7],
+        [0.25, 0.25, -0.25, 0.25, 0.0, -0.0, 0.0],
+    ])
+    batches += [ties, ties[ties.shape[0] // 2:], -ties]
+    batches += [np.array(row)[None, :] for row in NEGATIVE_THRESHOLD_ROWS]
+    edge = np.array(NEGATIVE_THRESHOLD_ROWS[0])[None, :]
+    batches.append(np.vstack([edge, 2.0 * edge, 0.5 * edge]))
+    return batches
+
+
+# SHA-256 of the shape and output bytes of every batch, recorded before the
+# projection's bookkeeping was trimmed
+FROZEN_PROJECTION = (
+    "be30d99ad369b106394d9b06ef5b1fad2d477dba26e1725011e3bffd658c88df")
+
+
+def projection_digest():
+    h = hashlib.sha256()
+    for x in projection_batches():
+        y = _project_l1_rows(x)
+        h.update(repr(y.shape).encode())
+        h.update(y.tobytes())
+    return h.hexdigest()
+
+
+def test_project_rows_frozen_digest():
+    assert projection_digest() == FROZEN_PROJECTION
