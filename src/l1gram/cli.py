@@ -125,11 +125,12 @@ def _cmd_decompose(args) -> int:
         dec = greedy_peel(A, rule)
     report = validate(dec, A, tol_rec=args.tol_rec)
     n_tr = A.n * trace(A)
+    one_norm = entrywise_one_norm(A)
     print(f"n               {A.n}")
     print(f"vectors         {dec.k}")
     print(f"total_cost      {dec.total_cost:.17g}")
     print(f"n*tr(A)         {n_tr:.17g}")
-    print(f"entrywise_norm  {entrywise_one_norm(A):.17g}")
+    print(f"entrywise_norm  {one_norm:.17g}")
     print(f"bound_margin    {report.bound_margin:.17g}")
     print(f"reconstruction  max_err={report.reconstruction_error:.3e} "
           f"ok={report.reconstruction_ok}")
@@ -143,7 +144,7 @@ def _cmd_decompose(args) -> int:
                 "source": dec.source,
                 "total_cost": dec.total_cost,
                 "n_times_trace": n_tr,
-                "entrywise_one_norm": entrywise_one_norm(A),
+                "entrywise_one_norm": one_norm,
                 "bound_margin": report.bound_margin,
                 "residual_trace": dec.residual_trace,
                 "reconstruction_error": report.reconstruction_error,

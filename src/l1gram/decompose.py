@@ -327,8 +327,9 @@ def validate(dec: Decomposition, A, tol_rec: float = 1e-9) -> ValidationReport:
     if not cost_ok:
         messages.append(f"cost bookkeeping off by {cost_disc:.3e} (relative)")
 
-    margin = n * float(np.trace(a)) - dec.total_cost
-    bound_ok = margin >= -1e-8 * max(1.0, abs(n * float(np.trace(a))))
+    n_tr = n * float(np.trace(a))
+    margin = n_tr - dec.total_cost
+    bound_ok = margin >= -1e-8 * max(1.0, abs(n_tr))
     if not bound_ok:
         messages.append(f"total cost exceeds n*tr(A) by {-margin:.3e}")
 

@@ -71,6 +71,14 @@ class TestDecomposeCommand:
         p.write_text("3\n1 0 0\n")
         assert main(["decompose", str(p)]) == 2
 
+    @pytest.mark.parametrize("text", ["2\n1 0\n0 nan\n", "2\n1 0\n0 1e400\n",
+                                      "2\n1 0\n0 x\n"])
+    def test_bad_entry_names_file_and_line(self, text, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        assert main(["decompose", str(p)]) == 2
+        assert f"error: {p}:3: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_reconstruction_tolerance_exits_2(self, tol, tmp_path, capsys):
         p = write_ones(tmp_path)
