@@ -402,7 +402,8 @@ def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCerti
 
 def _project_psd_shift(y: np.ndarray, t) -> np.ndarray:
     """Exactly symmetric projection onto {Y : Y - T PSD} (eigenvalue clipping)."""
-    lam, v = np.linalg.eigh((y - t + (y - t).T) / 2.0)
+    d = y - t
+    lam, v = np.linalg.eigh((d + d.T) / 2.0)
     p = (v * np.maximum(lam, 0.0)) @ v.T
     return t + (p + p.T) / 2.0
 
@@ -413,13 +414,20 @@ def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
     rho, z, u = 1.0, t.copy(), np.zeros_like(t)
     lower, a_best = 0.0, np.zeros_like(t)  # A = 0 is feasible
     upper, y_best = math.inf, None
+    eye = np.eye(n)
+    # work buffers for V = Z - U and Y; W holds |V|, V / r, Y + U and Y - Z
+    v, y, w = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     for k in range(1, iter_cap + 1):
-        v, r = z - u, 1.0 / rho
-        y = np.zeros_like(v)
-        if np.abs(v).sum() > r:
-            y = v - r * project_l1_sphere(v.ravel() / r).reshape(n, n)
-        z_prev, z = z, _project_psd_shift(y + u, t)
-        u += y - z
+        r = 1.0 / rho
+        np.subtract(z, u, out=v)
+        if np.abs(v, out=w).sum() > r:
+            np.divide(v, r, out=w)
+            np.multiply(r, project_l1_sphere(w.ravel()).reshape(n, n), out=y)
+            np.subtract(v, y, out=y)
+        else:
+            y.fill(0.0)
+        z_prev, z = z, _project_psd_shift(np.add(y, u, out=w), t)
+        u += np.subtract(y, z, out=w)
         if k % 10 and k < iter_cap:
             continue
         a = _project_psd_shift(-u, 0.0)  # the PSD part of -U
@@ -427,13 +435,15 @@ def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
         if norm1 > 0.0 and float((t * a).sum()) / norm1 > lower:
             a_best = a / norm1
             lower = float((t * a_best).sum())
-        if np.abs(z).max() < upper:
+        z_max = np.abs(z).max()
+        if z_max < upper:
             d = z - t
             delta = max(0.0, -float(np.linalg.eigvalsh(d)[0])) + (n + 2) * EPS * (
-                np.linalg.norm(d) + np.abs(z).max())
-            y_c = z + delta * np.eye(n)
-            if np.abs(y_c).max() < upper:
-                upper, y_best = float(np.abs(y_c).max()), y_c
+                np.linalg.norm(d) + z_max)
+            y_c = z + delta * eye
+            y_max = float(np.abs(y_c).max())
+            if y_max < upper:
+                upper, y_best = y_max, y_c
         if upper - lower <= tol_gap:
             return lower, a_best, upper, y_best, True
         # residual balancing on the relative residuals (Z != 0 as T is not NSD)
@@ -452,10 +462,13 @@ def piplus_dual_upper(T, tol: float = 1e-8, iter_cap: int = 60000) -> BoundRepor
     and min { ||Y||_max : Y - T PSD } equals piplus.  One scaled ADMM run
     (Boyd et al. 2011) on min ||Y||_max subject to Y = Z, Z - T PSD repeats
     Y = V - P(V) with V = Z - U and P the projection onto the l1 ball of
-    radius 1/rho (the prox of ||.||_max / rho by Moreau, through
-    project_l1_sphere), Z = the projection of Y + U onto {Z - T PSD}, and
-    U += Y - Z; every 10 iterations it rescales rho and U by
-    sqrt(primal / dual relative residual), clipped to [0.2, 5].
+    radius 1/rho (the prox of ||.||_max / rho by Moreau), Z = the projection
+    of Y + U onto {Z - T PSD}, and U += Y - Z; every 10 iterations it
+    rescales rho and U by sqrt(primal / dual relative residual), clipped to
+    [0.2, 5].  With r = 1/rho, P(V) = V, so Y = 0, when ||V||_1 <= r, and
+    otherwise P(V) = r project_l1_sphere(V / r): one sort-and-threshold of
+    V / r taken as a single n^2-vector.  Each iteration writes V, Y and its
+    temporaries into buffers made once per run.
 
     Both ends are certified at every 10th and at the last iteration.  A
     step leaves U = D - D+ with D = Y + U - T, so the PSD part A of -U,

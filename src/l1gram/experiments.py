@@ -58,9 +58,8 @@ def rows_to_csv_text(rows: Sequence[ExperimentRow]) -> str:
     buf = io.StringIO()
     buf.write(",".join(CSV_FIELDS) + "\n")
     for r in rows:
-        d = asdict(r)
-        d["value"] = f"{r.value:.17g}"
-        buf.write(",".join(str(d[f]) for f in CSV_FIELDS) + "\n")
+        buf.write(",".join(f"{r.value:.17g}" if f == "value" else str(getattr(r, f))
+                           for f in CSV_FIELDS) + "\n")
     return buf.getvalue()
 
 

@@ -109,25 +109,26 @@ def project_l1_sphere(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("expected a vector")
-    return _project_l1_rows(x[None, :])[0]
+    return _project_l1_rows(x)
 
 
 def _project_l1_rows(x: np.ndarray) -> np.ndarray:
-    """project_l1_sphere applied to every row of the (m, n) array x.
+    """project_l1_sphere along the last axis of x: the vector x itself, or
+    every row of the (m, n) array x.
 
     Every reduction runs along the contiguous last axis, so each row of a
     C-contiguous x comes out bit for bit as it would alone.
     """
     a = np.abs(x)
-    norm1 = a.sum(axis=1)
-    if not np.all(np.isfinite(norm1) & (norm1 != 0.0)):
+    norm1 = a.sum(axis=-1)
+    if not (np.isfinite(norm1) & (norm1 != 0.0)).all():
         raise ValueError("cannot project the zero (or non-finite) vector")
     out = norm1 > 1.0
     if out.all():  # the usual case in the ascent and the ADMM: no gathers
         return _shrink_rows(x, a)
     if not out.any():
-        return x / norm1[:, None]
-    inside = ~out
+        return x / norm1[..., None]
+    inside = ~out  # only an (m, n) array mixes the two cases
     y = np.empty_like(x)
     y[inside] = x[inside] / norm1[inside, None]
     y[out] = _shrink_rows(x[out], a[out])
@@ -135,25 +136,27 @@ def _project_l1_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _shrink_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The l1-ball projection of rows x outside the ball, a = |x|.
+    """The l1-ball projection along the last axis of x, every row outside
+    the ball, a = |x|.
 
     The result is built in a's buffer, which the caller gives up.
     """
-    srt = np.sort(a, axis=1)
-    u = srt[:, ::-1]
-    cumsum = np.cumsum(u, axis=1)
+    n = x.shape[-1]
+    srt = np.sort(a, axis=-1)
+    u = srt[..., ::-1]
+    cumsum = u.cumsum(axis=-1)
     cumsum -= 1.0
-    ks = np.arange(1, x.shape[1] + 1)
     # the last index where u_k k > cumsum_k - 1 (always true at k = 1)
-    rho = x.shape[1] - 1 - np.argmax((u * ks > cumsum)[:, ::-1], axis=1)
-    theta = cumsum[np.arange(rho.size), rho] / (rho + 1.0)
-    np.subtract(a, theta[:, None], out=a)
+    rho = n - 1 - (u * np.arange(1.0, n + 1.0) > cumsum)[..., ::-1].argmax(axis=-1)
+    # cumsum at rho in each row (np.indices adds the row index, none for a vector)
+    theta = cumsum[(*np.indices(rho.shape, sparse=True), rho)] / (rho + 1.0)
+    np.subtract(a, theta[..., None], out=a)
     np.maximum(a, 0.0, out=a)
     # s comes after the sign multiply: a row can end with a negative theta
     # (its pairwise norm above 1, its sorted cumulative sum not), and then
     # a zero entry holds -theta until its sign of 0 clears it
     a *= np.sign(x)
-    s = np.abs(a, out=srt).sum(axis=1)
-    off = s != 1.0  # kill the last ulp of threshold roundoff
-    a[off] /= s[off, None]
+    s = np.abs(a, out=srt).sum(axis=-1)
+    # kills the last ulp of threshold roundoff; a row with s = 1 keeps its bits
+    a /= s[..., None]
     return a

@@ -2,11 +2,11 @@
 of the bounds JSON.
 
 Matrix format: the first non-blank line is n, then n non-blank lines of n
-scalars.  Lines end in \\n, \\r\\n or \\r; a line of only spaces and tabs
-is blank; tokens are separated by runs of spaces or tabs; a scalar is an
-ASCII decimal or scientific number (what ``float`` reads, without
-underscores) and must be finite.  The writer emits 17 significant digits so
-float64 round-trips exactly.
+scalars.  The file is ASCII; lines end in \\n, \\r\\n or \\r; a line of
+only spaces and tabs is blank; tokens are separated by runs of spaces or
+tabs; a scalar is a decimal or scientific number (what ``float`` reads,
+without underscores) and must be finite.  The writer emits 17 significant
+digits so float64 round-trips exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +41,18 @@ def _row_format(n: int) -> str:
     return " ".join(["%.17g"] * n)
 
 
+def _open_text(path):
+    """Open a matrix file so that every byte decodes: a byte above 0x7f
+    becomes a lone surrogate, which the checks below reject at its line."""
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
+def _require_ascii(path, no: int, line: str) -> None:
+    if not line.isascii():
+        byte = next(ord(c) for c in line if not c.isascii()) - 0xDC00
+        raise ParseError(path, no, f"non-ASCII byte 0x{byte:02x}")
+
+
 def _checked_lines(fh):
     """The lines of fh, refusing any the format rejects but numpy's
     tokenizer would read."""
@@ -57,6 +69,7 @@ def _read_header(path, fh) -> int:
             break
     else:
         raise ParseError(path, 1, "empty file")
+    _require_ascii(path, no, header)
     if not _DIMENSION.fullmatch(header):
         raise ParseError(path, no, f"expected the dimension n, got {header!r}")
     n = int(header)
@@ -69,7 +82,7 @@ def _parse_lines(path, n: int) -> np.ndarray:
     """Parse the body line by line, raising a ParseError at the first line
     that breaks the format.  load_matrix calls it only when the bulk parse
     fails, to name that line."""
-    with open(path, "r") as fh:
+    with _open_text(path) as fh:
         body = [(no, line) for no, line in enumerate(fh, start=1)
                 if line.strip(_BLANK)]
     if len(body) - 1 < n:
@@ -80,6 +93,7 @@ def _parse_lines(path, n: int) -> np.ndarray:
         raise ParseError(path, no_extra, f"unexpected content after {n} rows")
     a = np.empty((n, n))
     for r, (no, line) in enumerate(body[1:]):
+        _require_ascii(path, no, line)
         tokens = _SEPARATOR.split(line.strip(_BLANK))
         if len(tokens) != n:
             raise ParseError(path, no, f"expected {n} values, found {len(tokens)}")
@@ -97,7 +111,7 @@ def _parse_lines(path, n: int) -> np.ndarray:
 
 def load_matrix(path) -> GramMatrix:
     """Parse a matrix file; symmetry is validated by GramMatrix."""
-    with open(path, "r") as fh:
+    with _open_text(path) as fh:
         n = _read_header(path, fh)
         try:
             with warnings.catch_warnings():

@@ -707,6 +707,53 @@ class TestPiplusDualUpper:
             assert rep.upper <= prob.value + 1e-5
 
 
+# Every route through the ADMM: build_T at the sizes of the bounds scenarios
+# (T30 rebalances rho for 1330 iterations), a hollow W, a Wishart matrix
+# whose bracket closes at the first check, a matrix of small norm whose first
+# iterations take the Y = 0 branch of the prox, and a budget of 3 iterations
+# that ends dual_ap(inconclusive).
+FROZEN_DUAL_INPUTS = {
+    "T8": lambda: (build_T(8, Rng(11)), {}),
+    "T12": lambda: (build_T(12, Rng(10)), {}),
+    "T30": lambda: (build_T(30, Rng(3)), {}),
+    "W8": lambda: (sample_W(8, Rng(7)), {}),
+    "wishart10": lambda: (sample_wishart(10, Rng(4)), {}),
+    "small5": lambda: (GramMatrix(0.01 * random_symmetric(5, 3).entries), {}),
+    "T8-cap3": lambda: (build_T(8, Rng(11)), {"iter_cap": 3}),
+}
+FROZEN_DUAL = {
+    "T12":
+        "6da27e35775fd8d7d8e9c3f15321b3936e86edde44cc9b2dd1f10a9a1f6f4d69",
+    "T30":
+        "4fb41eb0ec7c887415fc006b9a9fb7149a8766df9f8759b5bc9bc78fda9e7113",
+    "T8":
+        "e45d31c9495f922cb725980cd7ca1b1c2eb5244a9787350dd72ce841e9c26d03",
+    "T8-cap3":
+        "035bf7e27bad1ac575ed12ef5ed2858789ae196319273831f25baf626b19aa36",
+    "W8":
+        "dc4875b709b18ba4f52cafdc750ce34d49f2e835ed5a47745389472b227c62c2",
+    "small5":
+        "e686365c9562b0cfb3a3c1edc6cd0b75d7d4d5c0d0a6b972f12ed28468f76ae6",
+    "wishart10":
+        "0cfac4093ed3817562a34ece03c9960c8df2abdab4aea29b95c1f3c29da5ef88",
+}
+
+
+class TestPiplusDualFrozen:
+    """SHA-256 of repr(lower), repr(upper), the method and the witness
+    bytes, recorded before the ADMM iteration was trimmed."""
+
+    @pytest.mark.parametrize("key", sorted(FROZEN_DUAL_INPUTS))
+    def test_digest(self, key):
+        T, kwargs = FROZEN_DUAL_INPUTS[key]()
+        rep = piplus_dual_upper(T, **kwargs)
+        h = hashlib.sha256()
+        for part in (repr(rep.lower), repr(rep.upper), rep.method):
+            h.update(part.encode())
+        h.update(rep.witness.entries.tobytes())
+        assert h.hexdigest() == FROZEN_DUAL[key]
+
+
 def test_hollow_ratio_at_most_two():
     for t in range(30):
         n = 4 + t % 5

@@ -79,6 +79,15 @@ class TestDecomposeCommand:
         assert main(["decompose", str(p)]) == 2
         assert f"error: {p}:3: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, line", [(b"2\xff\n1 0\n0 1\n", 1),
+                                            (b"2\n1 \xff\n0 1\n", 2)],
+                             ids=["header", "body"])
+    def test_non_ascii_byte_names_file_and_line(self, data, line, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(data)
+        assert main(["decompose", str(p)]) == 2
+        assert f"error: {p}:{line}: non-ASCII byte 0xff" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_reconstruction_tolerance_exits_2(self, tol, tmp_path, capsys):
         p = write_ones(tmp_path)

@@ -161,6 +161,20 @@ class TestTokenGrammar:
             load_matrix(p)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"2\xff\n1 0\n0 1\n", 1, 0xFF),           # header, not UTF-8
+        (b"\n\xc3\xa9\n1 0\n0 1\n", 2, 0xC3),      # header, UTF-8
+        (b"2\n1 \xff\n0 1\n", 2, 0xFF),            # body, not UTF-8
+        (b"2\n1 0\n0\xc2\xa01\n", 3, 0xC2),        # body, UTF-8 no-break space
+        (b"2\r\n1 0\r\n0 1\x80\r\n", 3, 0x80),
+    ], ids=["header", "header-utf8", "body", "body-utf8", "body-crlf"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, data, line, byte):
+        p = tmp_path / "m.txt"
+        p.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            load_matrix(p)
+        assert str(exc.value) == f"{p}:{line}: non-ASCII byte 0x{byte:02x}"
+
     @pytest.mark.parametrize("text, line", [
         ("3\n1 0 0\n0 1 0\n0 0 nan\n", 4),
         ("2\n1 1e400\n1e400 1\n", 2),

@@ -221,3 +221,37 @@ def projection_digest():
 
 def test_project_rows_frozen_digest():
     assert projection_digest() == FROZEN_PROJECTION
+
+
+def admm_sized_vectors():
+    """Vectors of the ADMM's n^2 lengths, 144 (n = 12) and 900 (n = 30):
+    outside the ball, inside it, with tied magnitudes, with signed zeros, and
+    an ulp outside the ball with a negative threshold."""
+    r = Rng(32)
+    vectors = []
+    for n, seed in ((144, 7), (900, 2)):
+        x = 3.0 * r.normal(n)
+        ties = np.round(x)
+        ties[ties == 0.0] = -0.0
+        zeros = x.copy()
+        zeros[::3], zeros[1::3] = 0.0, -0.0
+        edge = Rng(seed).uniform(n)
+        edge[::4] = 0.0
+        edge /= edge.sum()
+        edge *= 1.0 + np.finfo(np.float64).eps
+        # the row sum is above 1, the sorted cumulative sum below it
+        assert edge.sum() > 1.0 > np.cumsum(np.sort(edge)[::-1])[-1]
+        vectors += [x, x / (2.0 * np.abs(x).sum()), ties, zeros, edge, -edge]
+    return vectors
+
+
+@pytest.mark.parametrize("family", ["admm", "batches"])
+def test_project_vector_matches_its_single_row(family):
+    # project_l1_sphere runs the core on the 1-d array itself; the bytes,
+    # signed zeros included, must be those of the same vector as a 1-row batch
+    if family == "admm":
+        vectors = admm_sized_vectors()
+    else:
+        vectors = [row for batch in projection_batches() for row in batch]
+    for x in vectors:
+        assert project_l1_sphere(x).tobytes() == _project_l1_rows(x[None])[0].tobytes()
