@@ -394,7 +394,7 @@ def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCerti
         lam_min = a + (b * lam[0] if b >= 0.0 else b * lam[-1])
     return WitnessCertificate(
         n=n, c=c, a=a, b=b,
-        A=GramMatrix._wrap((A + A.T) / 2.0),
+        A=GramMatrix._wrap(A),
         value=value,
         lambda_min=lam_min,
     )
@@ -589,16 +589,17 @@ class RatioCertificate:
 
 
 def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
-                  n_cap: int = DEFAULT_N_CAP, restarts: int = 64,
-                  steps: int = 500) -> RatioCertificate:
+                  n_cap: int = DEFAULT_N_CAP) -> RatioCertificate:
     """Sample W from the seed, build T and bound piplus/rho1 from below.
 
     exact mode (n <= n_cap) divides by the enumerated rho1; structured mode
     divides by the restricted-norm upper bound with the subset fraction
     calibrated on this W.  The piplus lower bound is the better of the
     shifted-identity witness (when PSD) and the rank-one witness taken from
-    the rho1 search.  A zero denominator or a zero lower bound falls back to
-    ratio = 1, which always holds.
+    the rho1 search: rho1_exact's maximizer in exact mode, the best start of
+    a default rho1_multistart (64 restarts of 500 steps) in structured mode.
+    A denominator that is not a positive finite number, or a lower bound at
+    or below 0, falls back to ratio = 1, which always holds.
     """
     _check_witness_c(c)  # also when n = 1, where no witness is built
     root = Rng(seed)
@@ -613,7 +614,7 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
         rho1_for_rank1 = rho1_rep
         denom = rho1_rep.upper
     elif mode == "structured":
-        ms = rho1_multistart(T, restarts=restarts, steps=steps, rng=root.child(1))
+        ms = rho1_multistart(T, rng=root.child(1))
         kap = estimate_kappa_for(W, beta=0.125, rng=root.child(2))
         kappa = kap.alpha
         full = operator_norm(W)
@@ -631,7 +632,7 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
     piplus_rep = _piplus_lower(T, rho1_for_rank1,
                                piplus_witness(W, c) if n >= 2 else None)
     pi_lower = piplus_rep.lower
-    if pi_lower <= 0.0 or denom is None or denom <= 0.0 or not math.isfinite(denom):
+    if pi_lower <= 0.0 or denom <= 0.0 or not math.isfinite(denom):
         ratio_val = 1.0
         ratio_method = f"{mode}(fallback)"
         ratio_cert = "certified_bound"  # the constant is >= 1 unconditionally

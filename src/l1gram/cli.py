@@ -24,7 +24,8 @@ from .bounds import (
     rho1_exact,
     rho1_multistart,
 )
-from .decompose import PivotRule, eigen_decomposer, greedy_peel, validate
+from .decompose import (PIVOT_RULE_KINDS, PivotRule, eigen_decomposer,
+                        greedy_peel, validate)
 from .errors import L1GramError, SingularPivotError
 from .experiments import run_compare, run_lemmas, run_scaling, write_rows
 from .linalg import entrywise_one_norm, trace
@@ -34,9 +35,6 @@ from .rng import Rng
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-PIVOT_CHOICES = ("min_cost_per_trace", "max_diagonal", "max_trace_removal",
-                 "random_order")
 
 
 def _int_list(text: str):
@@ -55,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompose", help="decompose one matrix file")
     d.add_argument("matrix", help="matrix text file (line 1: n; then n rows)")
     d.add_argument("--method", choices=("peel", "eigen"), default="peel")
-    d.add_argument("--pivot", choices=PIVOT_CHOICES, default="min_cost_per_trace")
+    d.add_argument("--pivot", choices=PIVOT_RULE_KINDS, default="min_cost_per_trace")
     d.add_argument("--pivot-seed", type=int, default=0,
                    help="seed for --pivot random_order")
     d.add_argument("--out", help="write the decomposition export here")

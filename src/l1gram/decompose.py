@@ -18,10 +18,9 @@ from .linalg import GramMatrix, as_matrix_array, entrywise_one_norm, min_eigenva
 from .rng import Rng
 
 PIVOT_RULE_KINDS = (
-    "max_diagonal",
     "min_cost_per_trace",
+    "max_diagonal",
     "max_trace_removal",
-    "fixed_order",
     "random_order",
 )
 
@@ -30,28 +29,23 @@ PIVOT_RULE_KINDS = (
 class PivotRule:
     """Pivot selection strategy for greedy peeling.
 
-    min_cost_per_trace picks the row minimizing ||a_i||_1^2 / ||a_i||_2^2,
-    the per-step cost per unit of trace removed; max_trace_removal picks the
-    row maximizing ||a_i||_2^2 / A_ii.  Those two and max_diagonal are built
-    as PivotRule(kind); fixed_order and random_order normalize their
-    arguments.
+    kind is one of PIVOT_RULE_KINDS, which are also the choices of
+    decompose --pivot.  min_cost_per_trace picks the row minimizing
+    ||a_i||_1^2 / ||a_i||_2^2, the per-step cost per unit of trace removed;
+    max_diagonal the row with the largest A_ii; max_trace_removal the row
+    maximizing ||a_i||_2^2 / A_ii.  Those three are built as PivotRule(kind).
+    random_order, built by PivotRule.random_order(seed), walks a permutation
+    of the rows drawn from Rng(seed).
     """
 
     kind: str
-    order: Optional[Tuple[int, ...]] = None
     seed: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in PIVOT_RULE_KINDS:
             raise ValueError(f"unknown pivot rule {self.kind!r}")
-        if self.kind == "fixed_order" and not self.order:
-            raise ValueError("fixed_order requires an index sequence")
         if self.kind == "random_order" and self.seed is None:
             raise ValueError("random_order requires a seed")
-
-    @classmethod
-    def fixed_order(cls, order):
-        return cls("fixed_order", order=tuple(int(i) for i in order))
 
     @classmethod
     def random_order(cls, seed):
@@ -71,8 +65,7 @@ class Decomposition:
     """Ordered rank-one factors with per-vector l1^2 costs.
 
     vectors is a (k, n) array whose rows are the x_k; residual_trace is the
-    trace left unpeeled when greedy peeling stopped early (0 for complete
-    decompositions).
+    trace greedy peeling left when it stopped (0 for the eigen route).
     """
 
     vectors: np.ndarray
@@ -114,8 +107,8 @@ def default_psd_tolerance(a: np.ndarray) -> float:
     return 1e-8 * (1.0 + abs(float(np.trace(a))))
 
 
-def _require_psd(a: np.ndarray, tol_psd: Optional[float]) -> None:
-    tol = default_psd_tolerance(a) if tol_psd is None else tol_psd
+def _require_psd(a: np.ndarray) -> None:
+    tol = default_psd_tolerance(a)
     lam_min = min_eigenvalue(a)
     if lam_min < -tol:
         raise NotPositiveSemidefiniteError(lam_min, tol)
@@ -137,8 +130,6 @@ def eigen_decomposer(A) -> Decomposition:
         raise NotPositiveSemidefiniteError(lam[-1], tol)
     keep = lam > 1e-12 * max(1.0, float(lam[0]))
     vecs = (v[:, keep] * np.sqrt(lam[keep])).T
-    if vecs.shape[0] == 0:
-        vecs = np.zeros((0, a.shape[0]))
     costs = np.abs(vecs).sum(axis=1) ** 2
     return Decomposition(
         vectors=vecs,
@@ -191,7 +182,7 @@ def peel_step(A, i: int, tol_pivot: Optional[float] = None,
     if not 0 <= i < n:
         raise IndexError(f"pivot index {i} out of range for n={n}")
     if check_psd:
-        _require_psd(a, None)
+        _require_psd(a)
     tol = default_pivot_tolerance(a) if tol_pivot is None else tol_pivot
     step = _peel_pivot(a, i, tol, float(np.trace(a)))
     if step is None:
@@ -220,7 +211,7 @@ def _select_pivot(a: np.ndarray, rule: PivotRule, active: np.ndarray,
     idx = np.nonzero(active)[0]
     if idx.size == 0:
         return None
-    if rule.kind in ("fixed_order", "random_order"):
+    if rule.kind == "random_order":
         for i in order:
             if active[i]:
                 return int(i)
@@ -236,40 +227,35 @@ def _select_pivot(a: np.ndarray, rule: PivotRule, active: np.ndarray,
     return int(idx[np.argmin(l1sq / l2sq)])  # min_cost_per_trace
 
 
-def greedy_peel(A, rule: PivotRule = DEFAULT_RULE,
-                max_steps: Optional[int] = None,
-                tol_psd: Optional[float] = None) -> Decomposition:
+def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
     """Peel rank-one factors until the residual trace is negligible.
 
-    Each step is one peel_step on the raw residual, so at most n vectors are
-    emitted (each step zeroes one row/column); peeling stops once the trace
-    left is at most 1e-12 |tr A|.  With tol = default_pivot_tolerance(A), a
-    row whose diagonal is at most tol is exhausted and skipped when
+    An eigenvalue of A below -default_psd_tolerance(A) raises
+    NotPositiveSemidefiniteError.  Each step is one peel_step on the raw
+    residual, so at most n vectors are emitted (each step zeroes one
+    row/column); peeling stops once the trace left is at most 1e-12 |tr A|
+    or every row is used.  With tol = default_pivot_tolerance(A), a row
+    whose diagonal is at most tol is exhausted and skipped when
     ||a_j||_2 <= sqrt(max(a_jj, tol) * tr) + tol * n, tr being the trace left
     at that step; a longer row cannot belong to a PSD residual and raises
     SingularPivotError.
     """
     a = as_matrix_array(A)
     n = a.shape[0]
-    _require_psd(a, tol_psd)
+    _require_psd(a)
     tol = default_pivot_tolerance(a)
     tr0 = float(np.trace(a))
     stop_at = 1e-12 * abs(tr0)
-    cap = n if max_steps is None else max(0, min(max_steps, n))
 
     order = None
-    if rule.kind == "fixed_order":
-        order = rule.order
-        if len(set(order)) != len(order) or any(not 0 <= i < n for i in order):
-            raise ValueError("fixed_order must be a sequence of distinct in-range indices")
-    elif rule.kind == "random_order":
+    if rule.kind == "random_order":
         order = tuple(Rng(rule.seed).permutation(n).tolist())
 
     vectors = []
     costs = []
     pivots = []
     used = np.zeros(n, dtype=bool)
-    for _ in range(cap):
+    for _ in range(n):
         tr = float(np.trace(a))
         if tr <= stop_at:
             break
@@ -309,7 +295,7 @@ def validate(dec: Decomposition, A, tol_rec: float = 1e-9) -> ValidationReport:
     if dec.n != n:
         raise ValueError(f"decomposition is for n={dec.n}, matrix has n={n}")
 
-    err = float(np.abs(dec.reconstruct() - a).max()) if n else 0.0
+    err = float(np.abs(dec.reconstruct() - a).max())
     allowance = tol_rec * (1.0 + entrywise_one_norm(a)) + dec.residual_trace
     rec_ok = err <= allowance
     if not rec_ok:

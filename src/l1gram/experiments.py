@@ -64,10 +64,17 @@ def rows_to_csv_text(rows: Sequence[ExperimentRow]) -> str:
 
 
 def write_rows(path_or_file, rows: Sequence[ExperimentRow], fmt: str = "csv") -> None:
+    """Write rows as CSV or as a JSON list of objects.
+
+    The CSV spells a non-finite value nan or inf; the JSON writes it as
+    null, so that strict JSON parsers accept the output.
+    """
     if fmt == "csv":
         text = rows_to_csv_text(rows)
     elif fmt == "json":
-        text = json.dumps([asdict(r) for r in rows], indent=2) + "\n"
+        records = [{**asdict(r), "value": r.value if math.isfinite(r.value) else None}
+                   for r in rows]
+        text = json.dumps(records, indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if hasattr(path_or_file, "write"):
@@ -162,6 +169,7 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
     NaN ratios, which the fit ignores.  Its piplus_lower row is the
     certified bound certify_ratio picks: the witness value when the witness
     is feasible and better, else the rank-one bound from the multistart.
+    restarts and steps set that multistart; exact mode does not use them.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown scaling mode {mode!r}")
@@ -171,8 +179,7 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
 
     def run_cell(n, seed):
         if mode == "exact":
-            cert = certify_ratio(n, seed, c=c, mode="exact", n_cap=n_cap,
-                                 restarts=restarts, steps=steps)
+            cert = certify_ratio(n, seed, c=c, mode="exact", n_cap=n_cap)
             rows = [
                 ("piplus_lower", cert.piplus.lower, cert.piplus.method,
                  cert.piplus.certificate),

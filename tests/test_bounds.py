@@ -857,7 +857,7 @@ class TestCertifyRatio:
             certify_ratio(n, 3, c=c)
 
     def test_structured_mode_runs_and_floors(self):
-        cert = certify_ratio(32, 5, mode="structured", restarts=8, steps=100)
+        cert = certify_ratio(32, 5, mode="structured")
         assert cert.mode == "structured"
         assert cert.cn_lower >= 1.0
         assert cert.kappa is not None

@@ -26,6 +26,12 @@ def write_ones(tmp_path, n=3):
     return p
 
 
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def strip_wall_time(csv_text):
     return "\n".join(",".join(line.split(",")[:-1])
                      for line in csv_text.strip().splitlines())
@@ -98,6 +104,18 @@ class TestDecomposeCommand:
         assert "validation:" not in err
         assert not out.exists()
 
+    def test_pivot_choices_in_order(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["decompose", "--help"])
+        assert ("--pivot {min_cost_per_trace,max_diagonal,max_trace_removal,"
+                "random_order}\n") in capsys.readouterr().out
+        p = write_ones(tmp_path)
+        for pivot in ("min_cost_per_trace", "max_diagonal", "max_trace_removal",
+                      "random_order"):
+            assert main(["decompose", str(p), "--pivot", pivot]) == 0
+        with pytest.raises(SystemExit):
+            main(["decompose", str(p), "--pivot", "fixed_order"])
+
 
 class TestCompareCommand:
     def test_csv_deterministic_apart_from_wall_time(self, tmp_path):
@@ -121,7 +139,7 @@ class TestCompareCommand:
         out = tmp_path / "c.json"
         assert main(["compare", "--n", "4", "--trials", "2", "--format", "json",
                      "--out", str(out)]) == 0
-        rows = json.loads(out.read_text())
+        rows = strict_json(out.read_text())
         assert {"experiment", "n", "seed", "quantity", "value", "method",
                 "certificate", "wall_time_ms"} <= set(rows[0])
 
@@ -171,6 +189,21 @@ class TestScalingCommand:
         fields = row.split(",")
         assert fields[5] == "loglog_fit_undefined"
         assert fields[4] == "nan"
+
+    @pytest.mark.parametrize("argv, nulls", [
+        (["--n", "4", "--seeds", "1", "--mode", "exact"], {"scaling_exponent"}),
+        # at n = 1 there is no witness, so the ratio is NaN as well
+        (["--n", "1", "--seeds", "1", "--mode", "heuristic", "--steps", "5"],
+         {"ratio", "scaling_exponent"}),
+    ], ids=["exact", "heuristic-n1"])
+    def test_json_writes_non_finite_values_as_null(self, argv, nulls, capsys):
+        assert main(["scaling", *argv, "--format", "json"]) == 0
+        rows = strict_json(capsys.readouterr().out)
+        assert {r["quantity"] for r in rows if r["value"] is None} == nulls
+        assert main(["scaling", *argv]) == 0
+        csv_nan = {l.split(",")[3] for l in capsys.readouterr().out.splitlines()
+                   if l.split(",")[4] == "nan"}
+        assert csv_nan == nulls
 
 
 class TestLemmasCommand:

@@ -10,6 +10,7 @@ from l1gram import (
     Rng,
     SingularPivotError,
     eigen_decomposer,
+    entrywise_one_norm,
     greedy_peel,
     min_eigenvalue,
     peel_step,
@@ -25,7 +26,6 @@ ALL_RULES = (
     PivotRule("min_cost_per_trace"),
     PivotRule("max_diagonal"),
     PivotRule("max_trace_removal"),
-    PivotRule.fixed_order(range(30)),
     PivotRule.random_order(5),
 )
 
@@ -140,8 +140,6 @@ class TestGreedyPeel:
     @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.label())
     def test_diagonal_any_rule(self, rule):
         d = np.array([1.0, 2.0, 4.0, 0.5, 3.0])
-        if rule.kind == "fixed_order":
-            rule = PivotRule.fixed_order(range(5))
         dec = greedy_peel(GramMatrix(np.diag(d)), rule)
         assert dec.k == 5
         assert dec.total_cost == pytest.approx(d.sum(), rel=1e-12)
@@ -177,20 +175,9 @@ class TestGreedyPeel:
                 assert min_eigenvalue(A2) >= -1e-8 * trace(A)
             assert removed == pytest.approx(trace(A) - dec.residual_trace, rel=1e-9)
 
-    def test_max_steps_truncation_leaves_residual(self):
-        A = sample_wishart(12, Rng(5))
-        dec = greedy_peel(A, max_steps=4)
-        assert dec.k == 4
-        assert dec.residual_trace > 0.0
-        assert validate(dec, A).ok  # residual allowance covers the rest
-
     def test_non_psd_rejected(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             greedy_peel(GramMatrix([[0.0, 2.0], [2.0, 0.0]]))
-
-    def test_fixed_order_must_be_distinct_indices(self):
-        with pytest.raises(ValueError):
-            greedy_peel(GramMatrix(np.eye(3)), PivotRule.fixed_order([0, 0, 1]))
 
     @pytest.mark.parametrize("seed, n, pivots", [
         (5, 12, [2, 5, 1, 0, 9, 3, 4, 7, 8, 11, 6, 10]),
@@ -218,11 +205,13 @@ class TestGreedyPeel:
         assert validate(dec, A).ok
 
     def test_row_beyond_psd_bound_raises(self):
-        # a_22 = 0 but |a_20| = 1e-3, far above sqrt(max(a_22, tol) tr) + tol n:
-        # no PSD matrix has such a row.
-        a = np.array([[1.0, 0.0, 1e-3], [0.0, 1.0, 0.0], [1e-3, 0.0, 0.0]])
+        # a_22 = 0 but |a_20| = 1e-4, far above sqrt(max(a_22, tol) tr) + tol n:
+        # no PSD matrix has such a row.  lambda_min is about -1e-8, inside the
+        # PSD gate's tolerance of 3e-8, so the pivot check is what raises.
+        a = np.array([[1.0, 0.0, 1e-4], [0.0, 1.0, 0.0], [1e-4, 0.0, 0.0]])
+        assert -3e-8 < min_eigenvalue(a) < 0.0
         with pytest.raises(SingularPivotError) as exc:
-            greedy_peel(a, PivotRule("max_diagonal"), tol_psd=1e-5)
+            greedy_peel(a, PivotRule("max_diagonal"))
         assert exc.value.index == 2
 
 
@@ -241,7 +230,6 @@ FROZEN_RULES = {
     "max_diagonal": PivotRule("max_diagonal"),
     "min_cost_per_trace": PivotRule("min_cost_per_trace"),
     "max_trace_removal": PivotRule("max_trace_removal"),
-    "fixed_order": PivotRule.fixed_order(range(95, -1, -1)),
     "random_order": PivotRule.random_order(7),
 }
 FROZEN_PEEL = {
@@ -251,8 +239,6 @@ FROZEN_PEEL = {
         "e24fc2304e5194ae771e6b7969489efa3a67517f08bf7e20fc6f30105490ce2c",
     ("full", "max_trace_removal"):
         "845b290f4328d7462b3ac4efb32237e8b1992ed39796a89ea303eee1e7406fdc",
-    ("full", "fixed_order"):
-        "4cb73406bee60ba8b79e6d1d941199570262e2b413462f807ad4c6b634c7a6d5",
     ("full", "random_order"):
         "b60aeaba24bd86d7f9859f4106aef1c26273bfb9369bb92c993d1fed10f54a1a",
     ("rank24", "max_diagonal"):
@@ -261,8 +247,6 @@ FROZEN_PEEL = {
         "62cc5f58748ef112ca0c03341879e7078588cff583d5df51177ed81d8291148f",
     ("rank24", "max_trace_removal"):
         "cad82511a1b716ab7b1461d3c3fc618cddeccefb946e14bd704a3ad07d0d8dbc",
-    ("rank24", "fixed_order"):
-        "efe74ae94a32ba3fa61f83c7050ecba3425ff4df6f57556f2d85b9065b51ebd0",
     ("rank24", "random_order"):
         "53a28d4bfdac9fb5c20c5882601b36b5d4897d81304761d822e89b15289c6c7b",
 }
@@ -328,6 +312,19 @@ class TestValidate:
         report = validate(dec, A)
         assert not report.reconstruction_ok
         assert not report.ok
+
+    def test_residual_trace_covers_the_unpeeled_part(self):
+        # the first 4 factors of a complete peel, with the trace of the rest
+        # declared as residual: every entry of that PSD rest is within it
+        A = sample_wishart(12, Rng(5))
+        dec = greedy_peel(A)
+        rest = dec.vectors[4:]
+        dec.vectors, dec.costs = dec.vectors[:4], dec.costs[:4]
+        dec.total_cost = float(dec.costs.sum())
+        dec.residual_trace = float((rest * rest).sum())
+        report = validate(dec, A)
+        assert report.ok, report.messages
+        assert report.reconstruction_error > 1e-9 * (1.0 + entrywise_one_norm(A))
 
 
 def test_decomposition_bookkeeping_invariants():
