@@ -3,6 +3,16 @@
 Two routes: the eigendecomposition (vectors sqrt(lambda_k) v_k) and greedy
 peeling, which repeatedly subtracts a_i a_i^T / A_ii for a pivot row i.
 Both keep the total cost sum_k ||x_k||_1^2 at or below n * tr(A).
+
+Greedy peeling works on the residual's live block, the rows and columns
+not yet peeled (a peeled row and column are exactly zero), as pivoted
+Cholesky works on its trailing block.  Every step validates and updates
+the block alone; the block drops its peeled rows once a quarter of its
+rows have been peeled since it last did.  Every sum that picks a pivot or
+stops the peel (the trace, the pivot criteria, an exhausted row's norm)
+is taken over n-wide rows with zeros at the peeled positions, so numpy
+groups it exactly as on the full residual, and the factors match those of
+peeling the n x n residual bit for bit.
 """
 
 from __future__ import annotations
@@ -59,6 +69,10 @@ class PivotRule:
 
 DEFAULT_RULE = PivotRule("min_cost_per_trace")
 
+# greedy_peel drops the peeled rows from its live block once 1/_COMPACT_EVERY
+# of the block's rows have been peeled since it last did
+_COMPACT_EVERY = 4
+
 
 @dataclass
 class Decomposition:
@@ -108,8 +122,9 @@ def default_psd_tolerance(a: np.ndarray) -> float:
 
 
 def _require_psd(a: np.ndarray) -> None:
+    """Raise unless a, a validated (exactly symmetric) array, is PSD."""
     tol = default_psd_tolerance(a)
-    lam_min = min_eigenvalue(a)
+    lam_min = min_eigenvalue(GramMatrix._wrap(a))
     if lam_min < -tol:
         raise NotPositiveSemidefiniteError(lam_min, tol)
 
@@ -143,22 +158,21 @@ def default_pivot_tolerance(a: np.ndarray) -> float:
     return 1e-13 * (1.0 + abs(float(np.trace(a))))
 
 
-def _peel_pivot(a: np.ndarray, i: int, tol: float,
-                tr: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """One pivot step of peel_step on ``a``, which it leaves as is.
-
-    Returns (x, a - x x^T) in fresh arrays for a diagonal above ``tol``;
-    returns None for an exhausted row within the PSD bound (see
-    SingularPivotError); raises otherwise.
+def _check_exhausted(row: np.ndarray, d: float, tol: float, tr: float,
+                     index: int) -> None:
+    """Raise SingularPivotError unless the row of an exhausted pivot (its
+    diagonal d at most ``tol``) satisfies the PSD bound; ``row`` is n-wide.
     """
-    n = a.shape[0]
-    d = float(a[i, i])
+    row_norm = float(np.linalg.norm(row))
+    if not row_norm <= np.sqrt(max(d, tol) * max(tr, 0.0)) + tol * row.size:
+        raise SingularPivotError(index, d, row_norm)
+
+
+def _peel_pivot(a: np.ndarray, i: int) -> Tuple[np.ndarray, np.ndarray]:
+    """x = a_i / sqrt(a_ii) and a - x x^T in fresh arrays; ``a`` is left as
+    is, and row and column i of the result are exactly zero."""
+    d = a[i, i]
     row = a[i]
-    if d <= tol:
-        row_norm = float(np.linalg.norm(row))
-        if row_norm <= np.sqrt(max(d, tol) * max(tr, 0.0)) + tol * n:
-            return None
-        raise SingularPivotError(i, d, row_norm)
     a2 = np.multiply.outer(row, row)
     a2 /= d
     np.subtract(a, a2, out=a2)
@@ -184,10 +198,12 @@ def peel_step(A, i: int, tol_pivot: Optional[float] = None,
     if check_psd:
         _require_psd(a)
     tol = default_pivot_tolerance(a) if tol_pivot is None else tol_pivot
-    step = _peel_pivot(a, i, tol, float(np.trace(a)))
-    if step is None:
+    d = float(a[i, i])
+    if d <= tol:
+        _check_exhausted(a[i], d, tol, float(np.trace(a)), i)
         return np.zeros(n), (A if isinstance(A, GramMatrix) else GramMatrix._wrap(a))
-    return step[0], GramMatrix._wrap(step[1])
+    x, a2 = _peel_pivot(a, i)
+    return x, GramMatrix._wrap(a2)
 
 
 def per_step_cost_identity_check(A, i: int) -> float:
@@ -206,20 +222,32 @@ def per_step_cost_identity_check(A, i: int) -> float:
     return abs(lhs - rhs) / scale
 
 
+def _wide(rows: np.ndarray, live: np.ndarray, n: int) -> np.ndarray:
+    """rows (the last axis over the live block) widened to n columns, with
+    zeros at the peeled positions; rows itself while the block is whole."""
+    if live.size == n:
+        return rows
+    out = np.zeros(rows.shape[:-1] + (n,))
+    out[..., live] = rows
+    return out
+
+
+def _trace(a: np.ndarray, live: np.ndarray, n: int) -> float:
+    """The residual's trace, summed over n entries as np.trace sums it."""
+    return float(_wide(np.diagonal(a), live, n).sum())
+
+
 def _select_pivot(a: np.ndarray, rule: PivotRule, active: np.ndarray,
-                  order: Optional[Tuple[int, ...]]) -> Optional[int]:
-    idx = np.nonzero(active)[0]
+                  live: np.ndarray, n: int) -> Optional[int]:
+    """The block position of the next pivot among the active rows of the
+    live block ``a``; every row criterion is summed over n-wide rows."""
+    idx = np.flatnonzero(active)
     if idx.size == 0:
         return None
-    if rule.kind == "random_order":
-        for i in order:
-            if active[i]:
-                return int(i)
-        return None
-    diag = np.diag(a)[idx]
+    diag = np.diagonal(a)[idx]
     if rule.kind == "max_diagonal":
         return int(idx[np.argmax(diag)])
-    rows = a[idx]
+    rows = _wide(a[idx], live, n)
     l2sq = (rows * rows).sum(axis=1)
     if rule.kind == "max_trace_removal":
         return int(idx[np.argmax(l2sq / diag)])
@@ -231,47 +259,69 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
     """Peel rank-one factors until the residual trace is negligible.
 
     An eigenvalue of A below -default_psd_tolerance(A) raises
-    NotPositiveSemidefiniteError.  Each step is one peel_step on the raw
-    residual, so at most n vectors are emitted (each step zeroes one
-    row/column); peeling stops once the trace left is at most 1e-12 |tr A|
-    or every row is used.  With tol = default_pivot_tolerance(A), a row
-    whose diagonal is at most tol is exhausted and skipped when
-    ||a_j||_2 <= sqrt(max(a_jj, tol) * tr) + tol * n, tr being the trace left
-    at that step; a longer row cannot belong to a PSD residual and raises
-    SingularPivotError.
+    NotPositiveSemidefiniteError.  Each step is one peel_step on the live
+    block of the residual: the rows and columns not yet peeled, exhausted
+    rows included, whose entries enter later steps.  The block drops its
+    peeled rows once a quarter of its rows have been peeled since it last
+    did, so a step validates and updates m x m entries for m live rows.
+    The trace, the pivot criteria and an exhausted row's norm are summed
+    over n-wide rows with zeros at the peeled positions, which keeps every
+    output bit for bit that of peeling the n x n residual.  At most n
+    vectors are emitted (each step zeroes one row/column); peeling stops
+    once the trace left is at most 1e-12 |tr A| or every row is used.  With
+    tol = default_pivot_tolerance(A), a row whose diagonal is at most tol
+    is exhausted and skipped when ||a_j||_2 <= sqrt(max(a_jj, tol) * tr) +
+    tol * n, tr being the trace left at that step; a longer row cannot
+    belong to a PSD residual and raises SingularPivotError, which names
+    its index in A.
     """
     a = as_matrix_array(A)
     n = a.shape[0]
     _require_psd(a)
     tol = default_pivot_tolerance(a)
-    tr0 = float(np.trace(a))
-    stop_at = 1e-12 * abs(tr0)
+    stop_at = 1e-12 * abs(float(np.trace(a)))
 
     order = None
     if rule.kind == "random_order":
-        order = tuple(Rng(rule.seed).permutation(n).tolist())
+        order = iter(Rng(rule.seed).permutation(n).tolist())
 
     vectors = []
     costs = []
     pivots = []
-    used = np.zeros(n, dtype=bool)
+    live = np.arange(n)  # block position -> row of A, ascending
+    used = np.zeros(n, dtype=bool)  # peeled or exhausted, by row of A
+    peeled = []  # block positions peeled since the block last shrank
     for _ in range(n):
-        tr = float(np.trace(a))
+        if _COMPACT_EVERY * len(peeled) >= live.size:
+            keep = np.delete(np.arange(live.size), peeled)
+            a = a[np.ix_(keep, keep)]
+            live = live[keep]
+            peeled = []
+        tr = _trace(a, live, n)
         if tr <= stop_at:
             break
+        active = ~used[live]
         # exhausted diagonals are skipped, or raise if their row is too long
-        for j in np.nonzero(~used & (np.diag(a) <= tol))[0]:
-            _peel_pivot(a, j, tol, tr)
-            used[j] = True
-        i = _select_pivot(a, rule, ~used, order)
-        if i is None:
+        for j in np.flatnonzero(active & (np.diagonal(a) <= tol)):
+            _check_exhausted(_wide(a[j], live, n), float(a[j, j]), tol, tr,
+                             live[j])
+            active[j] = False
+            used[live[j]] = True
+        if order is None:
+            j = _select_pivot(a, rule, active, live, n)
+        else:
+            i = next((i for i in order if not used[i]), None)
+            j = None if i is None else int(np.searchsorted(live, i))
+        if j is None:
             break
-        x, A2 = peel_step(a, i, tol_pivot=tol, check_psd=False)
+        x, A2 = peel_step(a, j, tol_pivot=tol, check_psd=False)
         a = A2.entries
+        x = _wide(x, live, n)
         vectors.append(x)
         costs.append(np.abs(x).sum() ** 2)
-        pivots.append(i)
-        used[i] = True
+        pivots.append(int(live[j]))
+        used[live[j]] = True
+        peeled.append(j)
 
     vecs = np.array(vectors) if vectors else np.zeros((0, n))
     costs = np.asarray(costs, dtype=np.float64)
@@ -281,7 +331,7 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
         total_cost=float(costs.sum()),
         source=f"peel({rule.label()})",
         pivots=tuple(pivots),
-        residual_trace=max(float(np.trace(a)), 0.0),
+        residual_trace=max(_trace(a, live, n), 0.0),
     )
 
 
@@ -296,7 +346,8 @@ def validate(dec: Decomposition, A, tol_rec: float = 1e-9) -> ValidationReport:
         raise ValueError(f"decomposition is for n={dec.n}, matrix has n={n}")
 
     err = float(np.abs(dec.reconstruct() - a).max())
-    allowance = tol_rec * (1.0 + entrywise_one_norm(a)) + dec.residual_trace
+    allowance = (tol_rec * (1.0 + entrywise_one_norm(GramMatrix._wrap(a)))
+                 + dec.residual_trace)
     rec_ok = err <= allowance
     if not rec_ok:
         messages.append(

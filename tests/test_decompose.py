@@ -214,6 +214,19 @@ class TestGreedyPeel:
             greedy_peel(a, PivotRule("max_diagonal"))
         assert exc.value.index == 2
 
+    def test_row_beyond_psd_bound_raises_after_compaction(self):
+        # Rows 0 and 1 are peeled first, so the live block of this n = 7
+        # input drops them before the third step.  Row 5 duplicates row 3
+        # but for a_56 = 1e-4; once row 3 is peeled, a_55 = 0 while a_56 is
+        # still 1e-4.  lambda_min is about -5e-9, inside the PSD gate.
+        a = np.diag([10.0, 9.0, 0.5, 1.0, 0.5, 1.0, 1.0])
+        a[3, 5] = a[5, 3] = 1.0
+        a[5, 6] = a[6, 5] = 1e-4
+        assert -1e-8 < min_eigenvalue(a) < 0.0
+        with pytest.raises(SingularPivotError) as exc:
+            greedy_peel(a, PivotRule("max_diagonal"))
+        assert exc.value.index == 5
+
 
 def _digest(*chunks):
     h = hashlib.sha256()
@@ -222,9 +235,24 @@ def _digest(*chunks):
     return h.hexdigest()
 
 
+def _repeated_rows():
+    # An exact integer Gram matrix, so the same bytes under any BLAS: rows
+    # 48..95 of its 96 x 48 factor repeat earlier rows and a fifth of the
+    # rows are zero.  Once one row of a pair is peeled its twin is exhausted
+    # with roundoff entries and stays in the live block.
+    rng = Rng(2031)
+    g = (rng.u64(96 * 48) % np.uint64(7)).astype(np.float64).reshape(96, 48) - 3.0
+    g[48:] = g[(rng.u64(48) % np.uint64(48)).astype(np.intp)]
+    g[rng.uniform(96) < 0.2] = 0.0
+    return GramMatrix(g @ g.T)
+
+
 FROZEN_INPUTS = {
     "full": lambda: sample_wishart(96, Rng(2024)),
     "rank24": lambda: sample_wishart(96, Rng(2025), p=24),
+    "rank60": lambda: sample_wishart(96, Rng(2026), p=60),
+    "repeated": _repeated_rows,
+    "rank3": lambda: sample_wishart(8, Rng(152), p=3),
 }
 FROZEN_RULES = {
     "max_diagonal": PivotRule("max_diagonal"),
@@ -249,11 +277,42 @@ FROZEN_PEEL = {
         "cad82511a1b716ab7b1461d3c3fc618cddeccefb946e14bd704a3ad07d0d8dbc",
     ("rank24", "random_order"):
         "53a28d4bfdac9fb5c20c5882601b36b5d4897d81304761d822e89b15289c6c7b",
+    ("rank60", "max_diagonal"):
+        "174c4ca0f8f9da70ab4b16310cf2223db2af57b36a3c6b21e948f5995a06b82a",
+    ("rank60", "min_cost_per_trace"):
+        "98b0000a7687e7b1e59862bf878ef64a8be2b47a38d6cf41befbf234674c0e1a",
+    ("rank60", "max_trace_removal"):
+        "636a530d5a3bc493aaf1d50bcd4d678c3ee2cd931c2ceab968874bb73b38c867",
+    ("rank60", "random_order"):
+        "cdc42964db09a09ee5eb38434c92b73c94cd95b13a4aa0d54fcd71f0e06fa45e",
+    ("repeated", "max_diagonal"):
+        "493ff012a6fb7a147f81db27c00e28243b9158e8d653db2066ffb7a6fc6292e9",
+    ("repeated", "min_cost_per_trace"):
+        "0e7b750326da652221ba1d9f46f29ca9f952a080cff5643bd4437252ca82c784",
+    ("repeated", "max_trace_removal"):
+        "d2c4d4394d83982caf5a370ea6ce9e8a6f5e0105a32d37103e4ff4ebc09f3ce0",
+    ("repeated", "random_order"):
+        "6415848d4c1981993175a87a25f97604202f52b3dca99dbea06b746fe52179aa",
+    ("rank3", "max_diagonal"):
+        "4dff927e2073b0f15d0649277be8eff56a1e46258b6033b56bf04eecd3c78ce3",
+    ("rank3", "min_cost_per_trace"):
+        "0db0ce8001658dc6ab9e207b2755648aec5bf1712471e97aa6bc5128aa575436",
+    ("rank3", "max_trace_removal"):
+        "f54a3fadf356f829dad8b4ab9bd3b59e86079c16680ed4bb0f8af0ba5cdad07e",
+    ("rank3", "random_order"):
+        "6dcb530394950e2d7728e9917bd082bb6e73a17e71122936355188e000cb79f0",
 }
 
 
 class TestFrozenOutputs:
-    """SHA-256 of peeling outputs, recorded before the shared pivot kernel.
+    """SHA-256 of peeling outputs, recorded on the n x n residual: full and
+    rank24 before the shared pivot kernel, the others before greedy_peel's
+    live block.  Each input drops peeled rows from its block at least once.
+    repeated keeps exhausted rows in the block, and its digests move under
+    every rule if the trace is summed over the block alone.  rank3 ends on
+    a rank-one residual whose rows tie to the ulp, and its min_cost_per_trace
+    and max_trace_removal pivots move if the criteria are summed over the
+    block alone.
 
     Every byte of every factor is part of the output.
     """

@@ -9,6 +9,7 @@ from l1gram import (
     Decomposition,
     GramMatrix,
     ParseError,
+    PivotRule,
     Rng,
     eigen_decomposer,
     greedy_peel,
@@ -239,6 +240,21 @@ class TestFrozenWriterBytes:
         save_decomposition(p, greedy_peel(wishart400))
         assert _sha256(p) == (
             "a20dd82219f3cf109ef10a5d1e35869255874b8b4699ea84997e821a6ff6a77e")
+
+    @pytest.mark.parametrize("rule, digest", [
+        (PivotRule("max_diagonal"),
+         "9351a37e78a0faf9218c3b1dc6ebf56b2e27efcf1e5484b091df191339c2bf94"),
+        (PivotRule("max_trace_removal"),
+         "32d448b3ffd48a7a3f8c1b8ec73c2b89915bcd7a344c23d75691e96896a187e5"),
+        (PivotRule.random_order(7),
+         "b32391408ba2778227bcdde955e8cc98bf6e5303b513bce3877b502595b1b96d"),
+    ], ids=["max_diagonal", "max_trace_removal", "random_order(7)"])
+    def test_save_decomposition_greedy_rules(self, tmp_path, wishart400, rule,
+                                             digest):
+        # recorded on the n x n residual, before greedy_peel's live block
+        p = tmp_path / "g.txt"
+        save_decomposition(p, greedy_peel(wishart400, rule))
+        assert _sha256(p) == digest
 
     def test_save_decomposition_eigen(self, tmp_path, wishart400):
         p = tmp_path / "e.txt"
