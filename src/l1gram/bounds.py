@@ -455,7 +455,10 @@ def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
     return lower, a_best, upper, y_best, False
 
 
-def piplus_dual_upper(T, tol: float = 1e-8, iter_cap: int = 60000) -> BoundReport:
+_TOL_DUAL = 1e-8  # piplus_dual_upper's relative bracket width
+
+
+def piplus_dual_upper(T, iter_cap: int = 60000) -> BoundReport:
     """Certified bracket [lower, upper] on piplus from its conic dual.
 
     For Y - T PSD and A PSD with ||A||_1 <= 1, Tr(TA) <= Tr(YA) <= ||Y||_max,
@@ -478,23 +481,21 @@ def piplus_dual_upper(T, tol: float = 1e-8, iter_cap: int = 60000) -> BoundRepor
     max|Z|) for the eigenvalue error and the roundoff in forming Z - T and
     the shift (Jansson, Chaykin, Keil 2007); upper = max|Y|, witness Y.
 
-    The method is "dual_ap" once upper - lower <= tol * max(1, lambda_max),
-    and "dual_ap(inconclusive)" when iter_cap iterations run out first;
-    both ends stay valid either way.  For lambda_max <= 0, piplus = 0 with
-    witness Y = 0.
+    The method is "dual_ap" once upper - lower <= _TOL_DUAL (1e-8) *
+    max(1, lambda_max), and "dual_ap(inconclusive)" when iter_cap iterations
+    run out first; both ends stay valid either way.  For lambda_max <= 0,
+    piplus = 0 exactly: lower = 0 (A = 0) and upper = 0 (witness Y = 0).
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if iter_cap < 1:
         raise ValueError(f"iter_cap must be >= 1, got {iter_cap!r}")
     arr = as_matrix_array(T)
     lam_max = max_eigenvalue(arr)
     if lam_max <= 0.0:
         return BoundReport(
-            quantity="piplus", lower=None, upper=0.0, method="dual_ap",
+            quantity="piplus", lower=0.0, upper=0.0, method="dual_ap",
             certificate="certified_bound", witness=GramMatrix._wrap(np.zeros_like(arr)),
         )
-    lower, _, upper, y, converged = _piplus_admm(arr, tol * max(1.0, lam_max), iter_cap)
+    lower, _, upper, y, converged = _piplus_admm(arr, _TOL_DUAL * max(1.0, lam_max), iter_cap)
     return BoundReport(
         quantity="piplus", lower=lower, upper=upper,
         method="dual_ap" if converged else "dual_ap(inconclusive)",

@@ -1,8 +1,9 @@
 """Command-line driver.
 
-Subcommands: decompose, compare, scaling, lemmas, bounds.  Exit codes:
-0 success, 2 validation failure (bad input or arguments, any L1GramError
-or ValueError), 3 numerical failure (a singular peeling pivot, any LAPACK
+Subcommands: decompose, compare, scaling, lemmas, bounds; each binds its
+handler as ``run``.  Exit codes: 0 success, 2 validation failure (bad input
+or arguments, an unreadable or unwritable file: any L1GramError, ValueError
+or OSError), 3 numerical failure (a singular peeling pivot, any LAPACK
 LinAlgError, or a decomposition that fails validation).  LinAlgError
 subclasses ValueError, so the numerical clause comes first.  The
 experiment suites run serially and emit their rows in grid order.
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--pivot-seed", type=int, default=0,
                    help="seed for --pivot random_order")
     d.add_argument("--out", help="write the decomposition export here")
-    d.add_argument("--tol-rec", type=float, default=1e-9)
+    d.set_defaults(run=_cmd_decompose)
 
     c = sub.add_parser("compare", help="eigen vs peeling costs over an ensemble")
     c.add_argument("--n", type=_int_list, default=[10, 20])
@@ -69,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="off-diagonal size for the circulant ensemble")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--out", help="output path (default stdout)")
+    c.set_defaults(run=_cmd_compare)
 
     s = sub.add_parser("scaling", help="ratio lower bounds against n")
     s.add_argument("--n", type=_int_list, default=[4, 6, 8, 10, 12])
@@ -76,11 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=1, help="base seed")
     s.add_argument("--c", type=float, default=2.5)
     s.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
-    s.add_argument("--restarts", type=int, default=64)
-    s.add_argument("--steps", type=int, default=500)
     s.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out")
+    s.set_defaults(run=_cmd_scaling)
 
     m = sub.add_parser("lemmas", help="witness, extreme-eigenvalue and "
                                       "restricted-norm statistics")
@@ -92,23 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[0.05, 0.1, 0.2])
     m.add_argument("--format", choices=("csv", "json"), default="csv")
     m.add_argument("--out")
+    m.set_defaults(run=_cmd_lemmas)
 
     b = sub.add_parser("bounds", help="rho1/piplus reports for one matrix")
     b.add_argument("matrix")
     b.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP)
-    b.add_argument("--restarts", type=int, default=64)
-    b.add_argument("--steps", type=int, default=500)
-    b.add_argument("--seed", type=int, default=1)
-    b.add_argument("--tol-dual", type=float, default=1e-8)
     b.add_argument("--out", help="output path (default stdout)")
+    b.set_defaults(run=_cmd_bounds)
     return p
-
-
-def _emit(rows, args):
-    if args.out:
-        write_rows(args.out, rows, args.format)
-    else:
-        write_rows(sys.stdout, rows, args.format)
 
 
 def _cmd_decompose(args) -> int:
@@ -121,7 +113,7 @@ def _cmd_decompose(args) -> int:
         else:
             rule = PivotRule(args.pivot)
         dec = greedy_peel(A, rule)
-    report = validate(dec, A, tol_rec=args.tol_rec)
+    report = validate(dec, A)
     n_tr = A.n * trace(A)
     one_norm = entrywise_one_norm(A)
     print(f"n               {A.n}")
@@ -163,16 +155,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_bounds(args) -> int:
     A = load_matrix(args.matrix)
-    reports = []
     if A.n <= args.n_cap:
         r1 = rho1_exact(A, n_cap=args.n_cap)
     else:
-        r1 = rho1_multistart(A, restarts=args.restarts, steps=args.steps,
-                             rng=Rng(args.seed))
-    reports.append(r1)
-    rank1 = piplus_rank1_lower(A, r1)
-    reports.append(rank1)
-    reports.append(piplus_dual_upper(A, tol=args.tol_dual))
+        r1 = rho1_multistart(A, rng=Rng(1))
+    reports = [r1, piplus_rank1_lower(A, r1), piplus_dual_upper(A)]
     payload = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -182,36 +169,36 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _write_suite(rows, args) -> int:
+    write_rows(args.out or sys.stdout, rows, args.format)
+    return EXIT_OK
+
+
+def _cmd_compare(args) -> int:
+    if args.eps is not None and args.ensemble != "circulant":
+        raise ValueError("--eps applies only to --ensemble circulant")
+    return _write_suite(run_compare(args.n, args.trials, args.ensemble,
+                                    args.seed, eps=args.eps), args)
+
+
+def _cmd_scaling(args) -> int:
+    return _write_suite(run_scaling(args.n, args.seeds, args.seed, c=args.c,
+                                    mode=args.mode, n_cap=args.n_cap), args)
+
+
+def _cmd_lemmas(args) -> int:
+    return _write_suite(run_lemmas(args.n, args.trials, args.seed, c=args.c,
+                                   alphas=args.alphas), args)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "compare":
-            if args.eps is not None and args.ensemble != "circulant":
-                raise ValueError("--eps applies only to --ensemble circulant")
-            rows = run_compare(args.n, args.trials, args.ensemble, args.seed,
-                               eps=args.eps)
-            _emit(rows, args)
-            return EXIT_OK
-        if args.command == "scaling":
-            rows = run_scaling(args.n, args.seeds, args.seed, c=args.c,
-                               mode=args.mode, restarts=args.restarts,
-                               steps=args.steps, n_cap=args.n_cap)
-            _emit(rows, args)
-            return EXIT_OK
-        if args.command == "lemmas":
-            rows = run_lemmas(args.n, args.trials, args.seed, c=args.c,
-                              alphas=args.alphas)
-            _emit(rows, args)
-            return EXIT_OK
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (SingularPivotError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (L1GramError, ValueError) as exc:
+    except (L1GramError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

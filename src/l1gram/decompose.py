@@ -17,7 +17,6 @@ peeling the n x n residual bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -72,6 +71,8 @@ DEFAULT_RULE = PivotRule("min_cost_per_trace")
 # greedy_peel drops the peeled rows from its live block once 1/_COMPACT_EVERY
 # of the block's rows have been peeled since it last did
 _COMPACT_EVERY = 4
+
+_TOL_REC = 1e-9
 
 
 @dataclass
@@ -135,7 +136,8 @@ def eigen_decomposer(A) -> Decomposition:
     Keeps the factors sqrt(lambda_k) v_k, in descending eigenvalue order, for
     eigenvalues above 1e-12 * max(1, lambda_max); the total cost
     sum lambda_k ||v_k||_1^2 never exceeds n * tr(A).  An eigenvalue below
-    -default_psd_tolerance raises NotPositiveSemidefiniteError.
+    -default_psd_tolerance raises NotPositiveSemidefiniteError.  eigh's
+    bytes change with the OpenBLAS thread count (n = 400: one against two).
     """
     a = as_matrix_array(A)
     tol = default_psd_tolerance(a)
@@ -335,10 +337,9 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
     )
 
 
-def validate(dec: Decomposition, A, tol_rec: float = 1e-9) -> ValidationReport:
-    """Check reconstruction, cost bookkeeping and the n*tr(A) bound."""
-    if not (math.isfinite(tol_rec) and tol_rec >= 0.0):
-        raise ValueError(f"tol_rec must be finite and >= 0, got {tol_rec!r}")
+def validate(dec: Decomposition, A) -> ValidationReport:
+    """Check reconstruction (max error <= _TOL_REC (1 + ||A||_1) plus the
+    residual trace, _TOL_REC = 1e-9), cost bookkeeping and the n*tr(A) bound."""
     a = as_matrix_array(A)
     n = a.shape[0]
     messages = []
@@ -346,7 +347,7 @@ def validate(dec: Decomposition, A, tol_rec: float = 1e-9) -> ValidationReport:
         raise ValueError(f"decomposition is for n={dec.n}, matrix has n={n}")
 
     err = float(np.abs(dec.reconstruct() - a).max())
-    allowance = (tol_rec * (1.0 + entrywise_one_norm(GramMatrix._wrap(a)))
+    allowance = (_TOL_REC * (1.0 + entrywise_one_norm(GramMatrix._wrap(a)))
                  + dec.residual_trace)
     rec_ok = err <= allowance
     if not rec_ok:

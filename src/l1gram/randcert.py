@@ -50,7 +50,11 @@ def build_T(n: int, rng: Rng) -> GramMatrix:
 
 
 def sample_wishart(n: int, rng: Rng, p: Optional[int] = None) -> GramMatrix:
-    """G G^T for an n x p standard normal G (PSD, full rank a.s. for p >= n)."""
+    """G G^T for an n x p standard normal G (PSD, full rank a.s. for p >= n).
+
+    G G^T goes through BLAS: for some shapes (n = 150, p = 75) its bytes
+    change with the OpenBLAS thread count.
+    """
     p = n if p is None else p
     g = rng.normal(n * p).reshape(n, p)
     a = g @ g.T

@@ -94,16 +94,6 @@ class TestDecomposeCommand:
         assert main(["decompose", str(p)]) == 2
         assert f"error: {p}:{line}: non-ASCII byte 0xff" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-    def test_bad_reconstruction_tolerance_exits_2(self, tol, tmp_path, capsys):
-        p = write_ones(tmp_path)
-        out = tmp_path / "dec.txt"
-        assert main(["decompose", str(p), "--tol-rec", tol, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "error: tol_rec must be finite and >= 0" in err
-        assert "validation:" not in err
-        assert not out.exists()
-
     def test_pivot_choices_in_order(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["decompose", "--help"])
@@ -193,7 +183,7 @@ class TestScalingCommand:
     @pytest.mark.parametrize("argv, nulls", [
         (["--n", "4", "--seeds", "1", "--mode", "exact"], {"scaling_exponent"}),
         # at n = 1 there is no witness, so the ratio is NaN as well
-        (["--n", "1", "--seeds", "1", "--mode", "heuristic", "--steps", "5"],
+        (["--n", "1", "--seeds", "1", "--mode", "heuristic"],
          {"ratio", "scaling_exponent"}),
     ], ids=["exact", "heuristic-n1"])
     def test_json_writes_non_finite_values_as_null(self, argv, nulls, capsys):
@@ -242,22 +232,22 @@ class TestBoundsCommand:
         assert by_method["rank1_witness"]["lower"] == pytest.approx(0.5)
         assert by_method["dual_ap"]["upper"] <= 1.0 + 1e-6
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
-    def test_bad_dual_tolerance_exits_2(self, tol, tmp_path, capsys):
-        p = tmp_path / "t.txt"
-        save_matrix(p, GramMatrix([[0.0, 1.0], [1.0, 0.0]]))
-        out = tmp_path / "out.json"
-        assert main(["bounds", str(p), "--tol-dual", tol, "--out", str(out)]) == 2
-        assert "tol must be finite and positive" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_large_matrix_uses_multistart(self, tmp_path, capsys):
         from l1gram import Rng, sample_wishart
         p = tmp_path / "big.txt"
         save_matrix(p, sample_wishart(15, Rng(4)))
-        assert main(["bounds", str(p), "--restarts", "8", "--steps", "100"]) == 0
+        assert main(["bounds", str(p)]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["method"] == "multistart"
+
+    def test_zero_matrix_has_two_sided_dual_bracket(self, tmp_path, capsys):
+        # piplus(0) = 0 exactly: A = 0 is feasible and Y = 0 is dual feasible
+        p = tmp_path / "zero.txt"
+        save_matrix(p, GramMatrix(np.zeros((3, 3))))
+        assert main(["bounds", str(p)]) == 0
+        dual = json.loads(capsys.readouterr().out)[2]
+        assert dual["method"] == "dual_ap"
+        assert dual["lower"] == 0.0 and dual["upper"] == 0.0
 
 
 def rows_digest(rows):
@@ -325,28 +315,14 @@ def test_grid_counts_below_one_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["scaling", "bounds"])
-def test_negative_steps_exit_2(command, tmp_path, capsys):
-    # both commands reach rho1_multistart: heuristic scaling, and bounds on a
-    # matrix above the exact-enumeration cap
-    big = tmp_path / "big.txt"
-    save_matrix(big, GramMatrix(np.eye(13)))
-    argv = {"scaling": ["scaling", "--n", "20", "--seeds", "1", "--mode", "heuristic"],
-            "bounds": ["bounds", str(big)]}[command]
-    out = tmp_path / "out.txt"
-    assert main(argv + ["--steps", "-1", "--out", str(out)]) == 2
-    assert "steps must be >= 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("c", ["nan", "inf", "-3"])
 @pytest.mark.parametrize("argv", [
     ["scaling", "--n", "4", "--seeds", "1", "--mode", "exact"],
-    ["scaling", "--n", "20", "--seeds", "1", "--mode", "heuristic", "--steps", "5"],
+    ["scaling", "--n", "20", "--seeds", "1", "--mode", "heuristic"],
     ["lemmas", "--n", "12", "--trials", "1"],
     # at n = 1 no witness is built, so c is checked before the grid runs
     ["scaling", "--n", "1", "--seeds", "1", "--mode", "exact"],
-    ["scaling", "--n", "1", "--seeds", "1", "--mode", "heuristic", "--steps", "5"],
+    ["scaling", "--n", "1", "--seeds", "1", "--mode", "heuristic"],
     ["lemmas", "--n", "1", "--trials", "1"],
 ], ids=["scaling-exact", "scaling-heuristic", "lemmas", "scaling-exact-n1",
         "scaling-heuristic-n1", "lemmas-n1"])
@@ -375,6 +351,22 @@ def test_eps_with_another_ensemble_exits_2(ensemble, tmp_path, capsys):
                  "--eps", "0.1", "--out", str(out)]) == 2
     assert "--eps applies only to --ensemble circulant" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["decompose-missing", "bounds-directory",
+                                  "decompose-out", "compare-out"])
+def test_unreadable_or_unwritable_file_exits_2(case, tmp_path, capsys):
+    # an OSError is a validation failure, not a traceback with exit 1
+    gone = tmp_path / "no-such-dir" / "out.txt"
+    argv = {"decompose-missing": ["decompose", str(tmp_path / "missing.txt")],
+            "bounds-directory": ["bounds", str(tmp_path)],
+            "decompose-out": ["decompose", str(write_ones(tmp_path)),
+                              "--out", str(gone)],
+            "compare-out": ["compare", "--n", "3", "--trials", "1",
+                            "--out", str(gone)]}[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
 
 def _raise_lapack_failure(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
