@@ -682,7 +682,9 @@ class TestPiplusDualUpper:
         assert rep.lower <= rep.upper
         assert min_eigenvalue(GramMatrix(rep.witness.entries - T.entries)) >= 0.0
 
-    @pytest.mark.parametrize("kwargs", [{"iter_cap": 0}, {"iter_cap": -5}])
+    # The ids are the ones these cases had when four `tol` cases came first.
+    @pytest.mark.parametrize("kwargs", [{"iter_cap": 0}, {"iter_cap": -5}],
+                             ids=["kwargs4", "kwargs5"])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             piplus_dual_upper(build_T(12, Rng(10)), **kwargs)
