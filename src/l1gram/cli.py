@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ensemble", choices=("wishart", "circulant", "all_ones",
                                           "diagonal"), default="wishart")
     c.add_argument("--seed", type=int, default=1)
-    c.add_argument("--eps", type=float, default=None,
-                   help="off-diagonal size for the circulant ensemble")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--out", help="output path (default stdout)")
     c.set_defaults(run=_cmd_compare)
@@ -89,15 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--trials", type=int, default=20)
     m.add_argument("--seed", type=int, default=1)
     m.add_argument("--c", type=float, default=3.0)
-    m.add_argument("--alphas", type=lambda t: [float(x) for x in t.split(",")],
-                   default=[0.05, 0.1, 0.2])
     m.add_argument("--format", choices=("csv", "json"), default="csv")
     m.add_argument("--out")
     m.set_defaults(run=_cmd_lemmas)
 
-    b = sub.add_parser("bounds", help="rho1/piplus reports for one matrix")
+    b = sub.add_parser("bounds", help="rho1/piplus reports for one matrix",
+                       description=f"rho1 is exact up to n = {DEFAULT_N_CAP} "
+                                   "and comes from multistart beyond.")
     b.add_argument("matrix")
-    b.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP)
     b.add_argument("--out", help="output path (default stdout)")
     b.set_defaults(run=_cmd_bounds)
     return p
@@ -155,8 +152,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_bounds(args) -> int:
     A = load_matrix(args.matrix)
-    if A.n <= args.n_cap:
-        r1 = rho1_exact(A, n_cap=args.n_cap)
+    if A.n <= DEFAULT_N_CAP:
+        r1 = rho1_exact(A)
     else:
         r1 = rho1_multistart(A, rng=Rng(1))
     reports = [r1, piplus_rank1_lower(A, r1), piplus_dual_upper(A)]
@@ -175,10 +172,8 @@ def _write_suite(rows, args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.eps is not None and args.ensemble != "circulant":
-        raise ValueError("--eps applies only to --ensemble circulant")
     return _write_suite(run_compare(args.n, args.trials, args.ensemble,
-                                    args.seed, eps=args.eps), args)
+                                    args.seed), args)
 
 
 def _cmd_scaling(args) -> int:
@@ -187,8 +182,8 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    return _write_suite(run_lemmas(args.n, args.trials, args.seed, c=args.c,
-                                   alphas=args.alphas), args)
+    return _write_suite(run_lemmas(args.n, args.trials, args.seed, c=args.c),
+                        args)
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,9 @@
 
 Two routes: the eigendecomposition (vectors sqrt(lambda_k) v_k) and greedy
 peeling, which repeatedly subtracts a_i a_i^T / A_ii for a pivot row i.
-Both keep the total cost sum_k ||x_k||_1^2 at or below n * tr(A).
+Both keep the total cost sum_k ||x_k||_1^2 at or below n * tr(A) up to
+roundoff (peel on [[3]] costs 3.0000000000000004); validate allows an
+excess of 1e-8 * max(1, n * tr(A)).
 
 Greedy peeling works on the residual's live block, the rows and columns
 not yet peeled (a peeled row and column are exactly zero), as pivoted
@@ -135,7 +137,9 @@ def eigen_decomposer(A) -> Decomposition:
 
     Keeps the factors sqrt(lambda_k) v_k, in descending eigenvalue order, for
     eigenvalues above 1e-12 * max(1, lambda_max); the total cost
-    sum lambda_k ||v_k||_1^2 never exceeds n * tr(A).  An eigenvalue below
+    sum lambda_k ||v_k||_1^2 stays at or below n * tr(A) up to roundoff (the
+    all-ones n = 7 matrix costs 49.00000000000003), within validate's
+    allowance of 1e-8 * max(1, n * tr(A)).  An eigenvalue below
     -default_psd_tolerance raises NotPositiveSemidefiniteError.  eigh's
     bytes change with the OpenBLAS thread count (n = 400: one against two).
     """

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -114,15 +114,16 @@ COMPARE_RULES = tuple(PivotRule(kind) for kind in (
     "min_cost_per_trace", "max_diagonal", "max_trace_removal"))
 
 
-def run_compare(ns: Sequence[int], trials: int, ensemble: str, base_seed: int,
-                eps: Optional[float] = None) -> List[ExperimentRow]:
+def run_compare(ns: Sequence[int], trials: int, ensemble: str,
+                base_seed: int) -> List[ExperimentRow]:
     """Eigen cost vs peeling cost per pivot rule, with a win-rate summary.
 
-    A trial is a win for peeling when the default rule's cost is strictly
-    below the eigendecomposition cost.
+    Each trial draws make_ensemble(ensemble, n, seed); circulant uses
+    eps = 1/(2n).  A trial is a win for peeling when the default rule's cost
+    is strictly below the eigendecomposition cost.
     """
     def run_cell(n, seed):
-        A = make_ensemble(ensemble, n, seed, eps)
+        A = make_ensemble(ensemble, n, seed)
         eig = eigen_decomposer(A).total_cost
         costs = {rule.label(): greedy_peel(A, rule).total_cost
                  for rule in COMPARE_RULES}
@@ -156,8 +157,7 @@ def fit_loglog_exponent(ns: Sequence[int], values: Sequence[float]) -> float:
 
 
 def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
-                mode: str = "exact", restarts: int = 64, steps: int = 500,
-                n_cap: int = DEFAULT_N_CAP) -> List[ExperimentRow]:
+                mode: str = "exact", n_cap: int = DEFAULT_N_CAP) -> List[ExperimentRow]:
     """Ratio values per (n, seed) plus the fitted log-log exponent.
 
     exact mode reproduces certify_ratio cell by cell (ratios are certified
@@ -169,7 +169,7 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
     NaN ratios, which the fit ignores.  Its piplus_lower row is the
     certified bound certify_ratio picks: the witness value when the witness
     is feasible and better, else the rank-one bound from the multistart.
-    restarts and steps set that multistart; exact mode does not use them.
+    The multistart runs at its default 64 restarts x 500 steps.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown scaling mode {mode!r}")
@@ -192,8 +192,7 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
         root = Rng(seed)
         W = sample_W(n, root.child(0))
         T = shift_to_T(W)
-        ms_rep = rho1_multistart(T, restarts=restarts, steps=steps,
-                                 rng=root.child(1))
+        ms_rep = rho1_multistart(T, rng=root.child(1))
         rho1_value = ms_rep.lower
         wit = piplus_witness(W, c) if n >= 2 else None
         pi = _piplus_lower(T, ms_rep, wit)
@@ -218,18 +217,19 @@ def run_scaling(ns: Sequence[int], n_seeds: int, base_seed: int, c: float = 2.5,
     return out
 
 
-def run_lemmas(ns: Sequence[int], trials: int, base_seed: int, c: float = 3.0,
-               alphas: Sequence[float] = (0.05, 0.1, 0.2)) -> List[ExperimentRow]:
+_LEMMA_ALPHAS = (0.05, 0.1, 0.2)
+
+
+def run_lemmas(ns: Sequence[int], trials: int, base_seed: int,
+               c: float = 3.0) -> List[ExperimentRow]:
     """Witness statistics, extreme-eigenvalue ratios and restricted norms.
 
     Per n: the fraction of seeds whose witness is PSD with value >= 1/3, the
     witness limit value 1 - c/4 and the c threshold 8/3 below which that
     limit clears 1/3, lambda_max(W)/sqrt(n) statistics, and the normalized
-    restricted norm at each subset fraction alpha next to its failure
-    probability bound.
+    restricted norm at each subset fraction alpha in 0.05, 0.1, 0.2 next to
+    its failure probability bound.
     """
-    if not all(0.0 < alpha < 1.0 for alpha in alphas):
-        raise ValueError("alpha must lie in (0, 1)")
     _check_witness_c(c)
 
     def run_cell(n, seed):
@@ -264,7 +264,7 @@ def run_lemmas(ns: Sequence[int], trials: int, base_seed: int, c: float = 3.0,
                                      "monte_carlo", "heuristic", ms))
         W0 = sample_W(n, Rng(base_seed).child(n + 1))
         rng_mc = Rng(base_seed).child(n + 2)
-        for alpha in alphas:
+        for alpha in _LEMMA_ALPHAS:
             k = max(1, min(n, int(alpha * n)))
             est = max_restricted_norm(W0, k, mode="auto", samples=200,
                                       rng=rng_mc.child(k))

@@ -61,23 +61,19 @@ def sample_wishart(n: int, rng: Rng, p: Optional[int] = None) -> GramMatrix:
     return GramMatrix._wrap((a + a.T) / 2.0)
 
 
-def make_ensemble(kind: str, n: int, seed: int,
-                  eps: Optional[float] = None) -> GramMatrix:
+def make_ensemble(kind: str, n: int, seed: int) -> GramMatrix:
     """One n x n draw of an ensemble, deterministic per seed.
 
-    kind is one of wishart (n columns), circulant (unit diagonal and eps on
-    the two wrapped off-diagonals, eps = 1/(2n) by default; a non-finite
-    eps raises ValueError), all_ones, or diagonal (entries 1 + U[0, 1)).
-    eps is read by circulant only.
+    kind is one of wishart (n columns), circulant (unit diagonal and
+    eps = 1/(2n) on the two wrapped off-diagonals), all_ones, or diagonal
+    (entries 1 + U[0, 1)).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "wishart":
         return sample_wishart(n, Rng(seed))
     if kind == "circulant":
-        eps = 1.0 / (2.0 * n) if eps is None else eps
-        if not math.isfinite(eps):
-            raise ValueError(f"eps must be finite, got {eps!r}")
+        eps = 1.0 / (2.0 * n)
         a = np.eye(n)
         if n > 1:
             idx = np.arange(n)

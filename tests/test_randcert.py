@@ -82,21 +82,16 @@ class TestEnsembles:
         shift = np.roll(np.eye(5), 1, axis=1)
         expected = {
             "wishart": sample_wishart(5, Rng(1)).entries,
-            "circulant": np.eye(5) + 0.3 * (shift + shift.T),
+            "circulant": np.eye(5) + 0.1 * (shift + shift.T),
             "all_ones": np.ones((5, 5)),
             "diagonal": np.diag(1.0 + Rng(1).uniform(5)),
         }
         for kind, ref in expected.items():
-            A = make_ensemble(kind, 5, 1, eps=0.3)
+            A = make_ensemble(kind, 5, 1)
             assert np.array_equal(A.entries, ref), kind
-        assert np.array_equal(make_ensemble("circulant", 5, 1).entries,
-                              make_ensemble("circulant", 5, 1, eps=0.1).entries)
         for kind in ("nope", "rademacher_W", "shifted_T"):
             with pytest.raises(ValueError, match="unknown ensemble"):
                 make_ensemble(kind, 3, 1)
-        for eps in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="eps must be finite"):
-                make_ensemble("circulant", 3, 1, eps=eps)
         with pytest.raises(ValueError):
             make_ensemble("all_ones", 0, 1)
 
