@@ -400,23 +400,35 @@ def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCerti
     )
 
 
-def _project_psd_shift(y: np.ndarray, t) -> np.ndarray:
-    """Exactly symmetric projection onto {Y : Y - T PSD} (eigenvalue clipping)."""
-    d = y - t
-    lam, v = np.linalg.eigh((d + d.T) / 2.0)
+def _project_psd_shift(y: np.ndarray, t, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Exactly symmetric projection of y onto {Y : Y - t PSD} (eigenvalue
+    clipping), written into out and returned; d is scratch for y - t and
+    then P + P^T.
+
+    y and t (an array, or 0.0) must be exactly symmetric, so that eigh gets
+    y - t as it stands: it reads only the lower triangle, and (D + D^T)/2
+    would return D's own bits.  The gemm's P = V diag(lambda+) V^T is not
+    exactly symmetric, so the result is t + (P + P^T)/2.
+    """
+    np.subtract(y, t, out=d)
+    lam, v = np.linalg.eigh(d)
     p = (v * np.maximum(lam, 0.0)) @ v.T
-    return t + (p + p.T) / 2.0
+    np.add(p, p.T, out=d)
+    d /= 2.0
+    return np.add(t, d, out=out)
 
 
 def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
     """(lower, A, upper, Y, converged): the ADMM of piplus_dual_upper."""
     n = t.shape[0]
-    rho, z, u = 1.0, t.copy(), np.zeros_like(t)
+    rho, u = 1.0, np.zeros_like(t)
     lower, a_best = 0.0, np.zeros_like(t)  # A = 0 is feasible
     upper, y_best = math.inf, None
     eye = np.eye(n)
-    # work buffers for V = Z - U and Y; W holds |V|, V / r, Y + U and Y - Z
-    v, y, w = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    # work buffers for V = Z - U, Y and the Z of this and the last step; W
+    # holds |V|, V / r, Y + U, Y - Z and -U; D is the PSD projection's scratch
+    z, z_prev = t.copy(), np.empty_like(t)
+    v, y, w, d = (np.empty_like(t) for _ in range(4))
     for k in range(1, iter_cap + 1):
         r = 1.0 / rho
         np.subtract(z, u, out=v)
@@ -426,20 +438,21 @@ def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
             np.subtract(v, y, out=y)
         else:
             y.fill(0.0)
-        z_prev, z = z, _project_psd_shift(np.add(y, u, out=w), t)
+        z_prev, z = z, _project_psd_shift(np.add(y, u, out=w), t, d, z_prev)
         u += np.subtract(y, z, out=w)
         if k % 10 and k < iter_cap:
             continue
-        a = _project_psd_shift(-u, 0.0)  # the PSD part of -U
+        # the PSD part of -U, in V's buffer
+        a = _project_psd_shift(np.negative(u, out=w), 0.0, d, v)
         norm1 = np.abs(a).sum()
         if norm1 > 0.0 and float((t * a).sum()) / norm1 > lower:
             a_best = a / norm1
             lower = float((t * a_best).sum())
         z_max = np.abs(z).max()
         if z_max < upper:
-            d = z - t
-            delta = max(0.0, -float(np.linalg.eigvalsh(d)[0])) + (n + 2) * EPS * (
-                np.linalg.norm(d) + z_max)
+            zt = z - t
+            delta = max(0.0, -float(np.linalg.eigvalsh(zt)[0])) + (n + 2) * EPS * (
+                np.linalg.norm(zt) + z_max)
             y_c = z + delta * eye
             y_max = float(np.abs(y_c).max())
             if y_max < upper:
@@ -451,7 +464,8 @@ def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
         dz, du = np.linalg.norm(z - z_prev), np.linalg.norm(u)
         if res > 0.0 and dz > 0.0 and du > 0.0:
             f = min(5.0, max(0.2, math.sqrt(res * du / dz)))
-            rho, u = rho * f, u / f
+            rho *= f
+            u /= f
     return lower, a_best, upper, y_best, False
 
 
@@ -470,8 +484,12 @@ def piplus_dual_upper(T, iter_cap: int = 60000) -> BoundReport:
     rescales rho and U by sqrt(primal / dual relative residual), clipped to
     [0.2, 5].  With r = 1/rho, P(V) = V, so Y = 0, when ||V||_1 <= r, and
     otherwise P(V) = r project_l1_sphere(V / r): one sort-and-threshold of
-    V / r taken as a single n^2-vector.  Each iteration writes V, Y and its
-    temporaries into buffers made once per run.
+    V / r taken as a single n^2-vector.  Each iteration writes V, Y,
+    D = Y + U - T, P + P^T, Z and its other temporaries into buffers made
+    once per run; two Z buffers alternate, as the balancing reads the last
+    Z, and rescaling divides U in place.  T, Z = T + (P + P^T)/2 and every
+    update are exactly symmetric (the prox and the rescaling act entrywise
+    with scalar thresholds), so eigh is handed D without symmetrizing it.
 
     Both ends are certified at every 10th and at the last iteration.  A
     step leaves U = D - D+ with D = Y + U - T, so the PSD part A of -U,

@@ -3,8 +3,9 @@
 Subcommands: decompose, compare, scaling, lemmas, bounds; each binds its
 handler as ``run``.  Exit codes: 0 success, 2 validation failure (bad input
 or arguments, an unreadable or unwritable file: any L1GramError, ValueError
-or OSError), 3 numerical failure (a singular peeling pivot, any LAPACK
-LinAlgError, or a decomposition that fails validation).  LinAlgError
+or OSError; an --out that is a directory or lies in a missing directory
+fails before any work), 3 numerical failure (a singular peeling pivot, any
+LAPACK LinAlgError, or a decomposition that fails validation).  LinAlgError
 subclasses ValueError, so the numerical clause comes first.  The
 experiment suites run serially and emit their rows in grid order.
 """
@@ -12,7 +13,9 @@ experiment suites run serially and emit their rows in grid order.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -186,9 +189,22 @@ def _cmd_lemmas(args) -> int:
                         args)
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise when path
+    is a directory or its parent directory is missing, so that such an
+    --out fails before any work.  Other write failures (no permission, a
+    full disk) surface only when the output is written."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.run(args)
     except (SingularPivotError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -7,6 +7,8 @@ operation here is a pure function.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import AsymmetricMatrixError
@@ -117,22 +119,29 @@ def _project_l1_rows(x: np.ndarray) -> np.ndarray:
     every row of the (m, n) array x.
 
     Every reduction runs along the contiguous last axis, so each row of a
-    C-contiguous x comes out bit for bit as it would alone.
+    C-contiguous x comes out bit for bit as it would alone.  A vector's
+    norm is tested as a Python float (finite, nonzero, above 1), which
+    takes the branches of the row tests without their .all() calls on a
+    numpy scalar, about 2 us each.
     """
     a = np.abs(x)
     norm1 = a.sum(axis=-1)
-    if not (np.isfinite(norm1) & (norm1 != 0.0)).all():
-        raise ValueError("cannot project the zero (or non-finite) vector")
-    out = norm1 > 1.0
-    if out.all():  # the usual case in the ascent and the ADMM: no gathers
-        return _shrink_rows(x, a)
-    if not out.any():
-        return x / norm1[..., None]
-    inside = ~out  # only an (m, n) array mixes the two cases
-    y = np.empty_like(x)
-    y[inside] = x[inside] / norm1[inside, None]
-    y[out] = _shrink_rows(x[out], a[out])
-    return y
+    if x.ndim == 1:
+        s = float(norm1)
+        if math.isfinite(s) and s != 0.0:
+            return _shrink_rows(x, a) if s > 1.0 else x / s
+    elif (np.isfinite(norm1) & (norm1 != 0.0)).all():
+        out = norm1 > 1.0
+        if out.all():  # the usual case in the ascent: no gathers
+            return _shrink_rows(x, a)
+        if not out.any():
+            return x / norm1[:, None]
+        inside = ~out
+        y = np.empty_like(x)
+        y[inside] = x[inside] / norm1[inside, None]
+        y[out] = _shrink_rows(x[out], a[out])
+        return y
+    raise ValueError("cannot project the zero (or non-finite) vector")
 
 
 def _shrink_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:

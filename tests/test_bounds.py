@@ -757,6 +757,22 @@ class TestPiplusDualFrozen:
         assert h.hexdigest() == FROZEN_DUAL[key]
 
 
+@pytest.mark.parametrize("key", sorted(FROZEN_DUAL_INPUTS))
+def test_dual_hands_eigh_only_exactly_symmetric_matrices(key, monkeypatch):
+    # _project_psd_shift passes Y + U - T (and -U) to eigh without (D + D^T)/2,
+    # which keeps the bytes only while every such matrix is bitwise symmetric
+    eigh, seen = np.linalg.eigh, []
+
+    def checked(a, *args, **kwargs):
+        seen.append(a.tobytes() == np.ascontiguousarray(a.T).tobytes())
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", checked)
+    T, kwargs = FROZEN_DUAL_INPUTS[key]()
+    piplus_dual_upper(T, **kwargs)
+    assert seen and all(seen), f"{seen.count(False)} of {len(seen)} asymmetric"
+
+
 def test_hollow_ratio_at_most_two():
     for t in range(30):
         n = 4 + t % 5

@@ -336,6 +336,40 @@ def test_unreadable_or_unwritable_file_exits_2(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before --out was checked")
+
+
+@pytest.mark.parametrize("out", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["decompose", "bounds", "compare",
+                                     "scaling", "lemmas"])
+def test_bad_out_exits_2_before_any_work(command, out, tmp_path, capsys,
+                                         monkeypatch):
+    # a missing parent directory or a directory as --out is found before the
+    # grid, the peeling or the solver runs, and no file is made
+    monkeypatch.setattr(l1gram.experiments, "_run_grid", _must_not_run)
+    monkeypatch.setattr(l1gram.cli, "greedy_peel", _must_not_run)
+    monkeypatch.setattr(l1gram.cli, "piplus_dual_upper", _must_not_run)
+    target = {"missing-dir": tmp_path / "no-such-dir" / "out.txt",
+              "directory": tmp_path / "outdir"}[out]
+    if out == "directory":
+        target.mkdir()
+    M = tmp_path / "m.txt"
+    save_matrix(M, l1gram.build_T(4, l1gram.Rng(3)) if command == "bounds"
+                else GramMatrix(np.ones((3, 3))))
+    argv = {"decompose": ["decompose", str(M)],
+            "bounds": ["bounds", str(M)],
+            "compare": ["compare", "--n", "3", "--trials", "1"],
+            "scaling": ["scaling", "--n", "4", "--seeds", "1"],
+            "lemmas": ["lemmas", "--n", "6", "--trials", "1"]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def _raise_lapack_failure(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 

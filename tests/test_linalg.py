@@ -122,12 +122,15 @@ class TestProjectL1Sphere:
             assert np.abs(y2 - y).max() <= 1e-12
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            project_l1_sphere(np.zeros(3))
-        rows = np.ones((3, 4))
-        rows[1] = 0.0
-        with pytest.raises(ValueError):
-            _project_l1_rows(rows)
+        # also a NaN, an infinity or an l1 norm that overflows, as a vector
+        # (its norm tested as a float) and as a row of a batch
+        for x in ([0.0, 0.0, 0.0], [1.0, np.nan, 0.5], [1.0, np.inf, 0.5],
+                  [-np.inf, 0.0, 0.5], [1e308, -1e308, 0.0]):
+            x = np.array(x)
+            with np.errstate(over="ignore"), pytest.raises(ValueError):
+                project_l1_sphere(x)
+            with np.errstate(over="ignore"), pytest.raises(ValueError):
+                _project_l1_rows(np.vstack([np.ones(3), x]))
 
     def test_rows_match_the_vector_projection(self):
         # rows inside the ball, on the sphere, outside it, and with tied
