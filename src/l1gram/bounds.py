@@ -192,17 +192,13 @@ _GEMM_PAD = 32
 
 
 def rho1_multistart(T, restarts: int = 64, steps: int = 500,
-                    rng: Optional[Rng] = None,
-                    restart_indices=None) -> BoundReport:
+                    rng: Optional[Rng] = None) -> BoundReport:
     """Heuristic lower bound on rho1 by multistart projected gradient ascent.
 
     Each restart ascends from a random l1-sphere point with gradient 2Tx and
     backtracking (halving) from step 1/sqrt(n); the report value is the best
     objective found, which is a genuine feasible value and so never exceeds
-    the true rho1.  Restart r draws its start from rng.child(r), so any
-    split of the restart index range reproduces the serial result.
-    ``restart_indices`` (a non-empty sequence of restart indices) replaces
-    ``range(restarts)``, and ``restarts`` is then ignored.
+    the true rho1.  Restart r draws its start from rng.child(r).
 
     The restarts advance together as the rows of one (restarts, n) array,
     each with its own step size and accept test; a row leaves the live set
@@ -212,37 +208,30 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
     matmul(X[:, None, :], G[:, :, None]), which numpy prices row by row with
     the BLAS dot that x @ g uses on one vector.
 
-    The gradient is a gemm, so a row's bits must not depend on the rows
-    priced with it, on its place among them or on the BLAS thread count.
-    A plain X @ T breaks this (numpy sends one or a few rows through gemv,
-    and OpenBLAS splits and tiles the product by its shape), so the live
-    rows are zero-padded to a multiple of _GEMM_ROWS and priced in one
-    gemm call against T zero-padded to a multiple of _GEMM_PAD.  On
-    OpenBLAS 0.3.31 with 1 to 4 BLAS threads this rule kept every row's
-    bits fixed: one call over 1 to 64 padded rows gave the same bytes as
-    8-row calls and as each row alone, over n = 1..79 and 18 sizes up to
-    1024.  A plain X @ T, unpadded blocks of 16 to 64 rows and unpadded
-    8-row blocks each failed at some n.  All other reductions run along
-    contiguous rows, so the serial-split promise above holds bit for bit.
+    The gradient is a gemm, so a row's bits must not depend on the BLAS
+    thread count, nor change as live rows leave the batch.  A plain X @ T
+    breaks this (numpy sends one or a few rows through gemv, and OpenBLAS
+    splits and tiles the product by its shape), so the live rows are
+    zero-padded to a multiple of _GEMM_ROWS and priced in one gemm call
+    against T zero-padded to a multiple of _GEMM_PAD.  On OpenBLAS 0.3.31
+    with 1 to 4 BLAS threads this rule kept every row's bits fixed: one
+    call over 1 to 64 padded rows gave the same bytes as 8-row calls and
+    as each row alone, over n = 1..79 and 18 sizes up to 1024.  A plain
+    X @ T, unpadded blocks of 16 to 64 rows and unpadded 8-row blocks each
+    failed at some n.  All other reductions run along contiguous rows.
     """
     if rng is None:
         raise ValueError("rho1_multistart requires an rng")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if restart_indices is None:
-        if restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        indices = range(restarts)
-    else:
-        indices = list(restart_indices)
-        if not indices:
-            raise ValueError("restart_indices must not be empty")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     arr = as_matrix_array(T)
     n = arr.shape[0]
     n_pad = -(-n // _GEMM_PAD) * _GEMM_PAD
     Tp = np.zeros((n_pad, n_pad))
     Tp[:n, :n] = arr
-    Yp = np.zeros((-(-len(indices) // _GEMM_ROWS) * _GEMM_ROWS, n_pad))
+    Yp = np.zeros((-(-restarts // _GEMM_ROWS) * _GEMM_ROWS, n_pad))
 
     def gradient(Y):
         # Y @ T through the zero-padded rows and T; the result is C-contiguous
@@ -254,7 +243,7 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
         return np.ascontiguousarray(P[:m, :n])
 
     step0 = 1.0 / math.sqrt(n)
-    X = _project_l1_rows(np.stack([rng.child(r).normal(n) for r in indices]))
+    X = _project_l1_rows(np.stack([rng.child(r).normal(n) for r in range(restarts)]))
     G = gradient(X)
     f = np.matmul(X[:, None, :], G[:, :, None])[:, 0, 0]
     eta = np.full(f.size, step0)
@@ -627,8 +616,6 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
 
     kappa = None
     if mode == "exact":
-        if n > n_cap:
-            raise ValueError(f"exact mode requires n <= {n_cap}")
         rho1_rep = rho1_exact(T, n_cap=n_cap)
         rho1_for_rank1 = rho1_rep
         denom = rho1_rep.upper

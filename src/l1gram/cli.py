@@ -3,11 +3,12 @@
 Subcommands: decompose, compare, scaling, lemmas, bounds; each binds its
 handler as ``run``.  Exit codes: 0 success, 2 validation failure (bad input
 or arguments, an unreadable or unwritable file: any L1GramError, ValueError
-or OSError; an --out that is a directory or lies in a missing directory
-fails before any work), 3 numerical failure (a singular peeling pivot, any
-LAPACK LinAlgError, or a decomposition that fails validation).  LinAlgError
-subclasses ValueError, so the numerical clause comes first.  The
-experiment suites run serially and emit their rows in grid order.
+or OSError; an --out that is a directory, lies in a missing directory or
+may not be written fails before any work), 3 numerical failure (a singular
+peeling pivot, any LAPACK LinAlgError, or a decomposition that fails
+validation).  LinAlgError subclasses ValueError, so the numerical clause
+comes first.  The experiment suites run serially and emit their rows in
+grid order.
 """
 
 from __future__ import annotations
@@ -191,13 +192,21 @@ def _cmd_lemmas(args) -> int:
 
 def _check_out(path: str) -> None:
     """Raise the OSError that opening path for writing would raise when path
-    is a directory or its parent directory is missing, so that such an
-    --out fails before any work.  Other write failures (no permission, a
-    full disk) surface only when the output is written."""
+    is a directory, its parent directory is missing, or the process may not
+    write it (an existing file) or create it (its directory), so that such
+    an --out fails before any work.  Other write failures (a full disk)
+    surface only when the output is written."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.exists(path):
+        writable = os.access(path, os.W_OK)
+    else:
+        writable = os.access(parent, os.W_OK | os.X_OK)
+    if not writable:
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,8 @@
 """Dense symmetric matrices: eigenvalues, norms, l1 projections.
 
 All matrices are real symmetric, stored dense in float64; vectors are plain
-1-d float64 arrays.  ``GramMatrix`` enforces symmetry at construction; every
+1-d float64 arrays.  ``GramMatrix`` enforces symmetry at construction, and
+``GramMatrix._wrap`` makes the array it is given read-only; every other
 operation here is a pure function.
 """
 
@@ -134,8 +135,6 @@ def _project_l1_rows(x: np.ndarray) -> np.ndarray:
         out = norm1 > 1.0
         if out.all():  # the usual case in the ascent: no gathers
             return _shrink_rows(x, a)
-        if not out.any():
-            return x / norm1[:, None]
         inside = ~out
         y = np.empty_like(x)
         y[inside] = x[inside] / norm1[inside, None]

@@ -93,7 +93,6 @@ class BaiYinSummary:
 
     n: int
     trials: int
-    values: np.ndarray
     mean: float
     min: float
     max: float
@@ -109,7 +108,7 @@ def bai_yin_stat(n: int, trials: int, rng: Rng) -> BaiYinSummary:
         w = sample_W(n, rng.child(t))
         vals[t] = max_eigenvalue(w) / root
     return BaiYinSummary(
-        n=n, trials=trials, values=vals,
+        n=n, trials=trials,
         mean=float(vals.mean()), min=float(vals.min()), max=float(vals.max()),
     )
 
@@ -145,8 +144,6 @@ def _max_norm_of_subsets(a: np.ndarray, subsets, k: int) -> float:
 
 def _exhaustive_norm(a: np.ndarray, k: int) -> float:
     n = a.shape[0]
-    if k == 1:
-        return float(np.abs(np.diag(a)).max())
     if k == 2:
         # closed-form 2x2 symmetric spectral norm over all index pairs
         iu, ju = np.triu_indices(n, 1)

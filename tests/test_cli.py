@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -340,20 +341,34 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("the work ran before --out was checked")
 
 
-@pytest.mark.parametrize("out", ["missing-dir", "directory"])
+@pytest.mark.parametrize("out", ["missing-dir", "directory", "unwritable",
+                                 "read-only"])
 @pytest.mark.parametrize("command", ["decompose", "bounds", "compare",
                                      "scaling", "lemmas"])
 def test_bad_out_exits_2_before_any_work(command, out, tmp_path, capsys,
                                          monkeypatch):
-    # a missing parent directory or a directory as --out is found before the
-    # grid, the peeling or the solver runs, and no file is made
+    # a missing parent directory, a directory, an unwritable directory or a
+    # read-only file as --out is found before the grid, the peeling or the
+    # solver runs, and no file is made or changed
     monkeypatch.setattr(l1gram.experiments, "_run_grid", _must_not_run)
     monkeypatch.setattr(l1gram.cli, "greedy_peel", _must_not_run)
     monkeypatch.setattr(l1gram.cli, "piplus_dual_upper", _must_not_run)
     target = {"missing-dir": tmp_path / "no-such-dir" / "out.txt",
-              "directory": tmp_path / "outdir"}[out]
-    if out == "directory":
-        target.mkdir()
+              "directory": tmp_path / "outdir",
+              "unwritable": tmp_path / "outdir" / "out.txt",
+              "read-only": tmp_path / "outdir" / "out.txt"}[out]
+    if out != "missing-dir":
+        (tmp_path / "outdir").mkdir()
+    if out == "read-only":
+        target.write_text("kept\n")
+    if out in ("unwritable", "read-only"):
+        # root ignores mode bits, so the permission answer is faked: the
+        # directory in one case, the existing file in the other
+        denied = str(target.parent if out == "unwritable" else target)
+        real_access = os.access
+        monkeypatch.setattr(l1gram.cli.os, "access",
+                            lambda path, mode: path != denied
+                            and real_access(path, mode))
     M = tmp_path / "m.txt"
     save_matrix(M, l1gram.build_T(4, l1gram.Rng(3)) if command == "bounds"
                 else GramMatrix(np.ones((3, 3))))
@@ -368,6 +383,8 @@ def test_bad_out_exits_2_before_any_work(command, out, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(target) in captured.err
     assert sorted(tmp_path.rglob("*")) == before
+    if out == "read-only":
+        assert target.read_text() == "kept\n"
 
 
 def _raise_lapack_failure(*args, **kwargs):

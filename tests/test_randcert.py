@@ -118,6 +118,10 @@ class TestMaxRestrictedNorm:
             W = sample_W(10, Rng(800 + seed))
             assert max_restricted_norm(W, 1).value == 0.0
             assert max_restricted_norm(W, 2).value == 1.0
+            # a diagonal with distinct entries: size 1 is max |A_ii| exactly
+            g = Rng(900 + seed).normal(100).reshape(10, 10)
+            A = GramMatrix((g + g.T) / 2.0)
+            assert max_restricted_norm(A, 1).value == np.abs(np.diag(A.entries)).max()
 
     def test_k_n_matches_operator_norm(self):
         W = sample_W(9, Rng(3))
