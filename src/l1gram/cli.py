@@ -4,11 +4,11 @@ Subcommands: decompose, compare, scaling, lemmas, bounds; each binds its
 handler as ``run``.  Exit codes: 0 success, 2 validation failure (bad input
 or arguments, an unreadable or unwritable file: any L1GramError, ValueError
 or OSError; an --out that is a directory, lies in a missing directory or
-may not be written fails before any work), 3 numerical failure (a singular
-peeling pivot, any LAPACK LinAlgError, or a decomposition that fails
-validation).  LinAlgError subclasses ValueError, so the numerical clause
-comes first.  The experiment suites run serially and emit their rows in
-grid order.
+may not be written fails before any work, as does such a decompose report
+path), 3 numerical failure (a singular peeling pivot, any LAPACK
+LinAlgError, or a decomposition that fails validation).  LinAlgError
+subclasses ValueError, so the numerical clause comes first.  The
+experiment suites run serially and emit their rows in grid order.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _cmd_decompose(args) -> int:
           f"ok={report.reconstruction_ok}")
     if args.out:
         save_decomposition(args.out, dec)
-        report_path = f"{args.out}.report.json"
+        report_path = _report_path(args.out)
         with open(report_path, "w") as fh:
             json.dump({
                 "n": A.n,
@@ -190,6 +190,11 @@ def _cmd_lemmas(args) -> int:
                         args)
 
 
+def _report_path(out: str) -> str:
+    """Where decompose --out writes its validation report."""
+    return f"{out}.report.json"
+
+
 def _check_out(path: str) -> None:
     """Raise the OSError that opening path for writing would raise when path
     is a directory, its parent directory is missing, or the process may not
@@ -214,6 +219,8 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_out(args.out)
+            if args.command == "decompose":
+                _check_out(_report_path(args.out))
         return args.run(args)
     except (SingularPivotError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

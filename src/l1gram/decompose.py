@@ -8,13 +8,9 @@ excess of 1e-8 * max(1, n * tr(A)).
 
 Greedy peeling works on the residual's live block, the rows and columns
 not yet peeled (a peeled row and column are exactly zero), as pivoted
-Cholesky works on its trailing block.  Every step validates and updates
-the block alone; the block drops its peeled rows once a quarter of its
-rows have been peeled since it last did.  Every sum that picks a pivot or
-stops the peel (the trace, the pivot criteria, an exhausted row's norm)
-is taken over n-wide rows with zeros at the peeled positions, so numpy
-groups it exactly as on the full residual, and the factors match those of
-peeling the n x n residual bit for bit.
+Cholesky works on its trailing block.  Every step validates, updates and
+sums over the block alone; the block drops its peeled rows once a quarter
+of its rows have been peeled since it last did.
 """
 
 from __future__ import annotations
@@ -165,37 +161,25 @@ def default_pivot_tolerance(a: np.ndarray) -> float:
 
 
 def _check_exhausted(row: np.ndarray, d: float, tol: float, tr: float,
-                     index: int) -> None:
+                     n: int, index: int) -> None:
     """Raise SingularPivotError unless the row of an exhausted pivot (its
-    diagonal d at most ``tol``) satisfies the PSD bound; ``row`` is n-wide.
-    """
+    diagonal d at most ``tol``) satisfies the PSD bound; n is the order of
+    the matrix the row was taken from."""
     row_norm = float(np.linalg.norm(row))
-    if not row_norm <= np.sqrt(max(d, tol) * max(tr, 0.0)) + tol * row.size:
+    if not row_norm <= np.sqrt(max(d, tol) * max(tr, 0.0)) + tol * n:
         raise SingularPivotError(index, d, row_norm)
 
 
-def _peel_pivot(a: np.ndarray, i: int) -> Tuple[np.ndarray, np.ndarray]:
-    """x = a_i / sqrt(a_ii) and a - x x^T in fresh arrays; ``a`` is left as
-    is, and row and column i of the result are exactly zero."""
-    d = a[i, i]
-    row = a[i]
-    a2 = np.multiply.outer(row, row)
-    a2 /= d
-    np.subtract(a, a2, out=a2)
-    a2[i, :] = 0.0  # exact in theory; clear the roundoff
-    a2[:, i] = 0.0
-    return row / np.sqrt(d), a2
-
-
-def peel_step(A, i: int, tol_pivot: Optional[float] = None,
+def peel_step(A, i: int,
               check_psd: bool = True) -> Tuple[np.ndarray, GramMatrix]:
     """One peeling step: split off a_i a_i^T / A_ii.
 
     Returns (x, A2) with x = a_i / sqrt(A_ii) and A2 = A - x x^T; row and
-    column i of A2 are exactly zero.  A pivot whose diagonal is at most
-    ``tol_pivot`` is exhausted when its row satisfies the PSD bound
-    ||a_i||_2 <= sqrt(max(A_ii, tol_pivot) * tr A) + tol_pivot * n; then the
-    result is (0, A) unchanged.  A longer row raises SingularPivotError.
+    column i of A2 are exactly zero.  With tol = default_pivot_tolerance(A),
+    a pivot whose diagonal is at most tol is exhausted when its row
+    satisfies the PSD bound ||a_i||_2 <= sqrt(max(A_ii, tol) * tr A) +
+    tol * n; then the result is (0, A) unchanged.  A longer row raises
+    SingularPivotError.
     """
     a = as_matrix_array(A)
     n = a.shape[0]
@@ -203,13 +187,18 @@ def peel_step(A, i: int, tol_pivot: Optional[float] = None,
         raise IndexError(f"pivot index {i} out of range for n={n}")
     if check_psd:
         _require_psd(a)
-    tol = default_pivot_tolerance(a) if tol_pivot is None else tol_pivot
+    tol = default_pivot_tolerance(a)
     d = float(a[i, i])
     if d <= tol:
-        _check_exhausted(a[i], d, tol, float(np.trace(a)), i)
+        _check_exhausted(a[i], d, tol, float(np.trace(a)), n, i)
         return np.zeros(n), (A if isinstance(A, GramMatrix) else GramMatrix._wrap(a))
-    x, a2 = _peel_pivot(a, i)
-    return x, GramMatrix._wrap(a2)
+    row = a[i]
+    a2 = np.multiply.outer(row, row)
+    a2 /= d
+    np.subtract(a, a2, out=a2)
+    a2[i, :] = 0.0  # exact in theory; clear the roundoff
+    a2[:, i] = 0.0
+    return row / np.sqrt(d), GramMatrix._wrap(a2)
 
 
 def per_step_cost_identity_check(A, i: int) -> float:
@@ -228,32 +217,27 @@ def per_step_cost_identity_check(A, i: int) -> float:
     return abs(lhs - rhs) / scale
 
 
-def _wide(rows: np.ndarray, live: np.ndarray, n: int) -> np.ndarray:
-    """rows (the last axis over the live block) widened to n columns, with
-    zeros at the peeled positions; rows itself while the block is whole."""
+def _wide(x: np.ndarray, live: np.ndarray, n: int) -> np.ndarray:
+    """x (over the live block) widened to n entries, with zeros at the
+    peeled positions; x itself while the block is whole."""
     if live.size == n:
-        return rows
-    out = np.zeros(rows.shape[:-1] + (n,))
-    out[..., live] = rows
+        return x
+    out = np.zeros(n)
+    out[live] = x
     return out
 
 
-def _trace(a: np.ndarray, live: np.ndarray, n: int) -> float:
-    """The residual's trace, summed over n entries as np.trace sums it."""
-    return float(_wide(np.diagonal(a), live, n).sum())
-
-
-def _select_pivot(a: np.ndarray, rule: PivotRule, active: np.ndarray,
-                  live: np.ndarray, n: int) -> Optional[int]:
+def _select_pivot(a: np.ndarray, rule: PivotRule,
+                  active: np.ndarray) -> Optional[int]:
     """The block position of the next pivot among the active rows of the
-    live block ``a``; every row criterion is summed over n-wide rows."""
+    live block ``a``."""
     idx = np.flatnonzero(active)
     if idx.size == 0:
         return None
     diag = np.diagonal(a)[idx]
     if rule.kind == "max_diagonal":
         return int(idx[np.argmax(diag)])
-    rows = _wide(a[idx], live, n)
+    rows = a[idx]
     l2sq = (rows * rows).sum(axis=1)
     if rule.kind == "max_trace_removal":
         return int(idx[np.argmax(l2sq / diag)])
@@ -271,8 +255,8 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
     peeled rows once a quarter of its rows have been peeled since it last
     did, so a step validates and updates m x m entries for m live rows.
     The trace, the pivot criteria and an exhausted row's norm are summed
-    over n-wide rows with zeros at the peeled positions, which keeps every
-    output bit for bit that of peeling the n x n residual.  At most n
+    over the block, in which a peeled position not yet dropped is an exact
+    zero; only the emitted factors are widened to n entries.  At most n
     vectors are emitted (each step zeroes one row/column); peeling stops
     once the trace left is at most 1e-12 |tr A| or every row is used.  With
     tol = default_pivot_tolerance(A), a row whose diagonal is at most tol
@@ -303,24 +287,23 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
             a = a[np.ix_(keep, keep)]
             live = live[keep]
             peeled = []
-        tr = _trace(a, live, n)
+        tr = float(np.trace(a))
         if tr <= stop_at:
             break
         active = ~used[live]
         # exhausted diagonals are skipped, or raise if their row is too long
         for j in np.flatnonzero(active & (np.diagonal(a) <= tol)):
-            _check_exhausted(_wide(a[j], live, n), float(a[j, j]), tol, tr,
-                             live[j])
+            _check_exhausted(a[j], float(a[j, j]), tol, tr, n, live[j])
             active[j] = False
             used[live[j]] = True
         if order is None:
-            j = _select_pivot(a, rule, active, live, n)
+            j = _select_pivot(a, rule, active)
         else:
             i = next((i for i in order if not used[i]), None)
             j = None if i is None else int(np.searchsorted(live, i))
         if j is None:
             break
-        x, A2 = peel_step(a, j, tol_pivot=tol, check_psd=False)
+        x, A2 = peel_step(a, j, check_psd=False)
         a = A2.entries
         x = _wide(x, live, n)
         vectors.append(x)
@@ -337,7 +320,7 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
         total_cost=float(costs.sum()),
         source=f"peel({rule.label()})",
         pivots=tuple(pivots),
-        residual_trace=max(_trace(a, live, n), 0.0),
+        residual_trace=max(float(np.trace(a)), 0.0),
     )
 
 

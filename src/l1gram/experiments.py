@@ -228,7 +228,10 @@ def run_lemmas(ns: Sequence[int], trials: int, base_seed: int,
     witness limit value 1 - c/4 and the c threshold 8/3 below which that
     limit clears 1/3, lambda_max(W)/sqrt(n) statistics, and the normalized
     restricted norm at each subset fraction alpha in 0.05, 0.1, 0.2 next to
-    its failure probability bound.
+    its failure probability bound.  The per-n draws come from disjoint
+    children of Rng(base_seed).child(n): the Bai-Yin trials from child 0,
+    the restricted-norm W from child 1 and its size-k subsets from child
+    2's child k.
     """
     _check_witness_c(c)
 
@@ -255,15 +258,16 @@ def run_lemmas(ns: Sequence[int], trials: int, base_seed: int,
                                      "witness_value_closed_form",
                                      witness_value_closed_form(n, c),
                                      "closed_form", "exact", 0))
+        per_n = Rng(base_seed).child(n)
         t0 = time.perf_counter()
-        by = bai_yin_stat(n, trials, Rng(base_seed).child(n))
+        by = bai_yin_stat(n, trials, per_n.child(0))
         ms = int(1000 * (time.perf_counter() - t0))
         for stat, value in (("bai_yin_mean", by.mean), ("bai_yin_min", by.min),
                             ("bai_yin_max", by.max)):
             out.append(ExperimentRow("lemmas", n, base_seed, stat, value,
                                      "monte_carlo", "heuristic", ms))
-        W0 = sample_W(n, Rng(base_seed).child(n + 1))
-        rng_mc = Rng(base_seed).child(n + 2)
+        W0 = sample_W(n, per_n.child(1))
+        rng_mc = per_n.child(2)
         for alpha in _LEMMA_ALPHAS:
             k = max(1, min(n, int(alpha * n)))
             est = max_restricted_norm(W0, k, mode="auto", samples=200,

@@ -272,8 +272,10 @@ FROZEN_DIGESTS = {
     # from 4 x 50 to the fixed 64 x 500; was 7eb097a119574f2fd0c70d267840e198ea332c1ec12b5060a8653761286d7ac5
     "scaling-heuristic":
         "3949b7dbeef79cc446e41d60283a4ddf2216d757e1971104581a59e619a19280",
+    # re-recorded when each n's Bai-Yin trials, restricted-norm W and subsets
+    # came from disjoint children of one per-n root; was ff3e8d0016db27ba137cf04d8ee914c7b7a233e3701f23bc88a63c987a1429f7
     "lemmas":
-        "ff3e8d0016db27ba137cf04d8ee914c7b7a233e3701f23bc88a63c987a1429f7",
+        "17a4dc6350494e86a1de4978bc85e12de20baffcf74fc121ce10702c7fe8d37a",
 }
 
 
@@ -285,6 +287,22 @@ class TestFrozenExperiments:
     @pytest.mark.parametrize("run", sorted(FROZEN_RUNS))
     def test_rows_digest(self, run):
         assert rows_digest(FROZEN_RUNS[run]()) == FROZEN_DIGESTS[run]
+
+
+def test_lemmas_draws_no_word_twice(monkeypatch):
+    # each n draws its Bai-Yin trials, its restricted-norm W and its subsets
+    # from disjoint streams; n = 50's size-5 subsets once shared a stream
+    # with n = 52's Bai-Yin trial 5
+    drawn = []
+    real_u64 = l1gram.Rng.u64
+
+    def u64(self, count):
+        drawn.extend((self.seed, self.counter + j) for j in range(count))
+        return real_u64(self, count)
+
+    monkeypatch.setattr(l1gram.Rng, "u64", u64)
+    run_lemmas([50, 52], 6, 1)
+    assert drawn and len(set(drawn)) == len(drawn)
 
 
 @pytest.mark.parametrize("argv", [
@@ -341,24 +359,34 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("the work ran before --out was checked")
 
 
-@pytest.mark.parametrize("out", ["missing-dir", "directory", "unwritable",
-                                 "read-only"])
-@pytest.mark.parametrize("command", ["decompose", "bounds", "compare",
-                                     "scaling", "lemmas"])
+BAD_OUT_CASES = [(command, out)
+                 for out in ("missing-dir", "directory", "unwritable",
+                             "read-only")
+                 for command in ("decompose", "bounds", "compare", "scaling",
+                                 "lemmas")]
+BAD_OUT_CASES.append(("decompose", "report-directory"))
+
+
+@pytest.mark.parametrize("command, out", BAD_OUT_CASES,
+                         ids=[f"{command}-{out}" for command, out in BAD_OUT_CASES])
 def test_bad_out_exits_2_before_any_work(command, out, tmp_path, capsys,
                                          monkeypatch):
     # a missing parent directory, a directory, an unwritable directory or a
     # read-only file as --out is found before the grid, the peeling or the
-    # solver runs, and no file is made or changed
+    # solver runs, and no file is made or changed; so is a directory where
+    # decompose would write its report
     monkeypatch.setattr(l1gram.experiments, "_run_grid", _must_not_run)
     monkeypatch.setattr(l1gram.cli, "greedy_peel", _must_not_run)
     monkeypatch.setattr(l1gram.cli, "piplus_dual_upper", _must_not_run)
     target = {"missing-dir": tmp_path / "no-such-dir" / "out.txt",
               "directory": tmp_path / "outdir",
               "unwritable": tmp_path / "outdir" / "out.txt",
-              "read-only": tmp_path / "outdir" / "out.txt"}[out]
+              "read-only": tmp_path / "outdir" / "out.txt",
+              "report-directory": tmp_path / "outdir" / "out.txt"}[out]
     if out != "missing-dir":
         (tmp_path / "outdir").mkdir()
+    if out == "report-directory":
+        (tmp_path / "outdir" / "out.txt.report.json").mkdir()
     if out == "read-only":
         target.write_text("kept\n")
     if out in ("unwritable", "read-only"):

@@ -204,6 +204,21 @@ class TestGreedyPeel:
         assert dec.k == 40
         assert validate(dec, A).ok
 
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.label())
+    @pytest.mark.parametrize("diag, pivots, left", [
+        ([1e-14] * 100, (), 1e-12),
+        ([1.0] + [1e-14] * 200, (0,), 2e-12),
+    ], ids=["all-exhausted", "exhausted-after-one"])
+    def test_rows_exhausted_before_the_stop(self, diag, pivots, left, rule):
+        # each 1e-14 diagonal is below the pivot tolerance 1e-13 (1 + tr A)
+        # while the trace they leave is above the stop 1e-12 tr A: once no
+        # row above the tolerance is left, the peel ends with that trace
+        A = GramMatrix(np.diag(diag))
+        dec = greedy_peel(A, rule)
+        assert dec.pivots == pivots and dec.k == len(pivots)
+        assert dec.residual_trace == pytest.approx(left, rel=1e-12)
+        assert validate(dec, A).ok
+
     def test_row_beyond_psd_bound_raises(self):
         # a_22 = 0 but |a_20| = 1e-4, far above sqrt(max(a_22, tol) tr) + tol n:
         # no PSD matrix has such a row.  lambda_min is about -1e-8, inside the
@@ -285,34 +300,47 @@ FROZEN_PEEL = {
         "636a530d5a3bc493aaf1d50bcd4d678c3ee2cd931c2ceab968874bb73b38c867",
     ("rank60", "random_order"):
         "cdc42964db09a09ee5eb38434c92b73c94cd95b13a4aa0d54fcd71f0e06fa45e",
+    # re-recorded when the trace and the row criteria were summed over the
+    # live block alone; was 493ff012a6fb7a147f81db27c00e28243b9158e8d653db2066ffb7a6fc6292e9
     ("repeated", "max_diagonal"):
-        "493ff012a6fb7a147f81db27c00e28243b9158e8d653db2066ffb7a6fc6292e9",
+        "3476a3b8baaa1a51919e6f40e51866d20c533771c4c5f49d2c225329c002db46",
+    # re-recorded when the trace and the row criteria were summed over the
+    # live block alone; was 0e7b750326da652221ba1d9f46f29ca9f952a080cff5643bd4437252ca82c784
     ("repeated", "min_cost_per_trace"):
-        "0e7b750326da652221ba1d9f46f29ca9f952a080cff5643bd4437252ca82c784",
+        "0121c5dd2fc3af1a8a33e0b95de3e139da8b521ef7bd2c6904df3f69190f2912",
+    # re-recorded when the trace and the row criteria were summed over the
+    # live block alone; was d2c4d4394d83982caf5a370ea6ce9e8a6f5e0105a32d37103e4ff4ebc09f3ce0
     ("repeated", "max_trace_removal"):
-        "d2c4d4394d83982caf5a370ea6ce9e8a6f5e0105a32d37103e4ff4ebc09f3ce0",
+        "e678c0d6deae56ba81ff51f78bd4f79d63c3fe3e84669eb328de1f66ac2f3d70",
+    # re-recorded when the trace and the row criteria were summed over the
+    # live block alone; was 6415848d4c1981993175a87a25f97604202f52b3dca99dbea06b746fe52179aa
     ("repeated", "random_order"):
-        "6415848d4c1981993175a87a25f97604202f52b3dca99dbea06b746fe52179aa",
+        "15685cc38a1f4bf2e738c2f5adcedea7b82d726a23b99b9255f9e1f70cd282ad",
     ("rank3", "max_diagonal"):
         "4dff927e2073b0f15d0649277be8eff56a1e46258b6033b56bf04eecd3c78ce3",
+    # re-recorded when the trace and the row criteria were summed over the
+    # live block alone; was 0db0ce8001658dc6ab9e207b2755648aec5bf1712471e97aa6bc5128aa575436
     ("rank3", "min_cost_per_trace"):
-        "0db0ce8001658dc6ab9e207b2755648aec5bf1712471e97aa6bc5128aa575436",
+        "19f126d64b74c58bd4629c48575ede69dfa377842425b93c53a2525ee9d7f5d4",
+    # re-recorded when the trace and the row criteria were summed over the
+    # live block alone; was f54a3fadf356f829dad8b4ab9bd3b59e86079c16680ed4bb0f8af0ba5cdad07e
     ("rank3", "max_trace_removal"):
-        "f54a3fadf356f829dad8b4ab9bd3b59e86079c16680ed4bb0f8af0ba5cdad07e",
+        "5c15d6b40e855b79b0cd4e63523c7213b2ff0188df61da1bb1b8abdf2d89d94f",
     ("rank3", "random_order"):
         "6dcb530394950e2d7728e9917bd082bb6e73a17e71122936355188e000cb79f0",
 }
 
 
 class TestFrozenOutputs:
-    """SHA-256 of peeling outputs, recorded on the n x n residual: full and
-    rank24 before the shared pivot kernel, the others before greedy_peel's
-    live block.  Each input drops peeled rows from its block at least once.
-    repeated keeps exhausted rows in the block, and its digests move under
-    every rule if the trace is summed over the block alone.  rank3 ends on
-    a rank-one residual whose rows tie to the ulp, and its min_cost_per_trace
-    and max_trace_removal pivots move if the criteria are summed over the
-    block alone.
+    """SHA-256 of peeling outputs.  full and rank24 were recorded on the
+    n x n residual before the shared pivot kernel, the others before
+    greedy_peel's live block; the other fourteen kept their bytes when
+    every sum moved from n-wide rows to the block alone.  Each input drops
+    peeled rows from its block at least once.  repeated keeps exhausted
+    rows in the block, and its trace moved by roundoff under every rule at
+    that change.  rank3 ends on a rank-one residual whose rows tie to the
+    ulp, and its min_cost_per_trace and max_trace_removal pivots moved
+    then.  Those six were re-recorded, with the same k.
 
     Every byte of every factor is part of the output.
     """
