@@ -1,14 +1,17 @@
 """Command-line driver.
 
 Subcommands: decompose, compare, scaling, lemmas, bounds; each binds its
-handler as ``run``.  Exit codes: 0 success, 2 validation failure (bad input
-or arguments, an unreadable or unwritable file: any L1GramError, ValueError
-or OSError; an --out that is a directory, lies in a missing directory or
-may not be written fails before any work, as does such a decompose report
-path), 3 numerical failure (a singular peeling pivot, any LAPACK
-LinAlgError, or a decomposition that fails validation).  LinAlgError
-subclasses ValueError, so the numerical clause comes first.  The
-experiment suites run serially and emit their rows in grid order.
+handler as ``run``.  The parser is built once, at import, and each ``main``
+call parses into a fresh ``Namespace``; its defaults are immutable, so no
+call can change what the next one sees.  Exit codes: 0 success, 2
+validation failure (bad input or arguments, an unreadable or unwritable
+file: any L1GramError, ValueError or OSError; an --out that is empty, is a
+directory, lies in a missing directory or may not be written fails before
+any work, as does such a decompose report path), 3 numerical failure (a
+singular peeling pivot, any LAPACK LinAlgError, or a decomposition that
+fails validation).  LinAlgError subclasses ValueError, so the numerical
+clause comes first.  The experiment suites run serially and emit their
+rows in grid order.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(run=_cmd_decompose)
 
     c = sub.add_parser("compare", help="eigen vs peeling costs over an ensemble")
-    c.add_argument("--n", type=_int_list, default=[10, 20])
+    c.add_argument("--n", type=_int_list, default=(10, 20))
     c.add_argument("--trials", type=int, default=20)
     c.add_argument("--ensemble", choices=("wishart", "circulant", "all_ones",
                                           "diagonal"), default="wishart")
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(run=_cmd_compare)
 
     s = sub.add_parser("scaling", help="ratio lower bounds against n")
-    s.add_argument("--n", type=_int_list, default=[4, 6, 8, 10, 12])
+    s.add_argument("--n", type=_int_list, default=(4, 6, 8, 10, 12))
     s.add_argument("--seeds", type=int, default=10, help="seeds per n")
     s.add_argument("--seed", type=int, default=1, help="base seed")
     s.add_argument("--c", type=float, default=2.5)
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("lemmas", help="witness, extreme-eigenvalue and "
                                       "restricted-norm statistics")
-    m.add_argument("--n", type=_int_list, default=[50, 100, 200])
+    m.add_argument("--n", type=_int_list, default=(50, 100, 200))
     m.add_argument("--trials", type=int, default=20)
     m.add_argument("--seed", type=int, default=1)
     m.add_argument("--c", type=float, default=3.0)
@@ -125,7 +128,7 @@ def _cmd_decompose(args) -> int:
     print(f"bound_margin    {report.bound_margin:.17g}")
     print(f"reconstruction  max_err={report.reconstruction_error:.3e} "
           f"ok={report.reconstruction_ok}")
-    if args.out:
+    if args.out is not None:
         save_decomposition(args.out, dec)
         report_path = _report_path(args.out)
         with open(report_path, "w") as fh:
@@ -162,7 +165,7 @@ def _cmd_bounds(args) -> int:
         r1 = rho1_multistart(A, rng=Rng(1))
     reports = [r1, piplus_rank1_lower(A, r1), piplus_dual_upper(A)]
     payload = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(payload)
     else:
@@ -171,7 +174,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _write_suite(rows, args) -> int:
-    write_rows(args.out or sys.stdout, rows, args.format)
+    write_rows(sys.stdout if args.out is None else args.out, rows, args.format)
     return EXIT_OK
 
 
@@ -197,10 +200,12 @@ def _report_path(out: str) -> str:
 
 def _check_out(path: str) -> None:
     """Raise the OSError that opening path for writing would raise when path
-    is a directory, its parent directory is missing, or the process may not
-    write it (an existing file) or create it (its directory), so that such
-    an --out fails before any work.  Other write failures (a full disk)
-    surface only when the output is written."""
+    is empty or a directory, its parent directory is missing, or the process
+    may not write it (an existing file) or create it (its directory), so
+    that such an --out fails before any work.  Other write failures (a full
+    disk) surface only when the output is written."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     parent = os.path.dirname(path) or "."
@@ -214,10 +219,13 @@ def _check_out(path: str) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
             if args.command == "decompose":
                 _check_out(_report_path(args.out))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import l1gram
 from l1gram import GramMatrix, save_matrix
-from l1gram.cli import main
+from l1gram.cli import _PARSER, build_parser, main
 from l1gram.experiments import (
     ExperimentRow,
     fit_loglog_exponent,
@@ -361,7 +362,7 @@ def _must_not_run(*args, **kwargs):
 
 BAD_OUT_CASES = [(command, out)
                  for out in ("missing-dir", "directory", "unwritable",
-                             "read-only")
+                             "read-only", "empty")
                  for command in ("decompose", "bounds", "compare", "scaling",
                                  "lemmas")]
 BAD_OUT_CASES.append(("decompose", "report-directory"))
@@ -371,10 +372,10 @@ BAD_OUT_CASES.append(("decompose", "report-directory"))
                          ids=[f"{command}-{out}" for command, out in BAD_OUT_CASES])
 def test_bad_out_exits_2_before_any_work(command, out, tmp_path, capsys,
                                          monkeypatch):
-    # a missing parent directory, a directory, an unwritable directory or a
-    # read-only file as --out is found before the grid, the peeling or the
-    # solver runs, and no file is made or changed; so is a directory where
-    # decompose would write its report
+    # a missing parent directory, a directory, an unwritable directory, a
+    # read-only file or an empty path as --out is found before the grid, the
+    # peeling or the solver runs, and no file is made or changed; so is a
+    # directory where decompose would write its report
     monkeypatch.setattr(l1gram.experiments, "_run_grid", _must_not_run)
     monkeypatch.setattr(l1gram.cli, "greedy_peel", _must_not_run)
     monkeypatch.setattr(l1gram.cli, "piplus_dual_upper", _must_not_run)
@@ -382,8 +383,9 @@ def test_bad_out_exits_2_before_any_work(command, out, tmp_path, capsys,
               "directory": tmp_path / "outdir",
               "unwritable": tmp_path / "outdir" / "out.txt",
               "read-only": tmp_path / "outdir" / "out.txt",
-              "report-directory": tmp_path / "outdir" / "out.txt"}[out]
-    if out != "missing-dir":
+              "report-directory": tmp_path / "outdir" / "out.txt",
+              "empty": ""}[out]
+    if out not in ("missing-dir", "empty"):
         (tmp_path / "outdir").mkdir()
     if out == "report-directory":
         (tmp_path / "outdir" / "out.txt.report.json").mkdir()
@@ -493,6 +495,68 @@ def test_console_entry_point_runs():
                           cwd=Path(l1gram.__file__).parents[1])
     assert proc.returncode == 0
     assert "l1gram" in proc.stdout
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # main parses with the parser built at import: no call constructs one,
+    # and neither another command nor an argparse exit changes what the
+    # next call sees
+    scaling = ["scaling", "--n", "4", "--seeds", "1", "--out"]
+    assert main(scaling + [str(tmp_path / "a.csv")]) == 0
+    M = tmp_path / "t.txt"
+    save_matrix(M, l1gram.build_T(4, l1gram.Rng(3)))
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["bounds", str(M), "--out", str(tmp_path / "t.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "--no-such-option"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert main(scaling + [str(tmp_path / "b.csv")]) == 0
+    assert built == []
+    assert (strip_wall_time((tmp_path / "a.csv").read_text())
+            == strip_wall_time((tmp_path / "b.csv").read_text()))
+
+
+def test_help_is_sized_when_printed(capsys, monkeypatch):
+    # argparse reads COLUMNS when it formats help, not when it builds the
+    # parser, so the parser built at import prints what a fresh one prints
+    helps = []
+    for columns in ("60", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["scaling", "--help"])
+        helps.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scaling", "--help"])
+        assert capsys.readouterr().out == helps[-1]
+    assert helps[0] != helps[1]
+
+
+def test_parser_defaults_are_hashable():
+    # every call's Namespace shares the one parser's default objects, so
+    # none may be a mutable container that a handler could change for the
+    # calls after it
+    subparsers = [a for a in _PARSER._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    parsers = [_PARSER, *subparsers[0].choices.values()]
+    assert len(parsers) == 6
+    unhashable = []
+    for parser in parsers:
+        for action in parser._actions:
+            try:
+                hash(action.default)
+            except TypeError:
+                unhashable.append((parser.prog, action.dest))
+    assert unhashable == []
 
 
 def test_csv_schema_order():
