@@ -9,8 +9,14 @@ excess of 1e-8 * max(1, n * tr(A)).
 Greedy peeling works on the residual's live block, the rows and columns
 not yet peeled (a peeled row and column are exactly zero), as pivoted
 Cholesky works on its trailing block.  Every step validates, updates and
-sums over the block alone; the block drops its peeled rows once a quarter
-of its rows have been peeled since it last did.
+sums over the block alone; the pivot criteria are priced on every row of
+the block, with inactive rows masked to +-inf.  The block drops its
+peeled rows once a quarter of its rows have been peeled since it last
+did.
+
+Peeling first requires a PSD input.  A Cholesky factorization of
+A + (tol/2) I certifies it; only where that fails does eigvalsh decide,
+against -tol, so both give the same verdict (see _require_psd).
 """
 
 from __future__ import annotations
@@ -121,8 +127,29 @@ def default_psd_tolerance(a: np.ndarray) -> float:
 
 
 def _require_psd(a: np.ndarray) -> None:
-    """Raise unless a, a validated (exactly symmetric) array, is PSD."""
+    """Raise unless a, a validated (exactly symmetric) array, is PSD.
+
+    The rule is eigvalsh's: with tol = default_psd_tolerance(a), raise
+    NotPositiveSemidefiniteError when the computed lambda_min is below
+    -tol.  A Cholesky factorization of a + (tol/2) I decides first, and
+    only where it fails does eigvalsh run and supply lambda_min.  That
+    gate accepts nothing the rule would reject.  Let B = fl(a + s I) with
+    s = tol/2.  If the computed Cholesky factor R of B exists, then
+    B + dB = R^T R with ||dB||_2 <= gamma_{n+1} ||R||_F^2 <=
+    gamma_{n+1} tr B / (1 - gamma_{n+1}) (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 10.3), so lambda_min(a) >= -s -
+    O(n eps (tr a + n s)).  eigvalsh's lambda_min is within
+    O(n eps ||a||_2) of the true one.  At n = 400 both terms are about
+    1e-13 tr a, against s = 5e-9 (1 + |tr a|).
+    """
     tol = default_psd_tolerance(a)
+    shifted = a.copy()
+    shifted.flat[:: a.shape[0] + 1] += tol / 2
+    try:
+        np.linalg.cholesky(shifted)
+        return
+    except np.linalg.LinAlgError:
+        pass  # not certified: eigvalsh decides
     lam_min = min_eigenvalue(GramMatrix._wrap(a))
     if lam_min < -tol:
         raise NotPositiveSemidefiniteError(lam_min, tol)
@@ -230,40 +257,53 @@ def _wide(x: np.ndarray, live: np.ndarray, n: int) -> np.ndarray:
 def _select_pivot(a: np.ndarray, rule: PivotRule,
                   active: np.ndarray) -> Optional[int]:
     """The block position of the next pivot among the active rows of the
-    live block ``a``."""
-    idx = np.flatnonzero(active)
-    if idx.size == 0:
+    live block ``a``, or None when no row is active.
+
+    The criteria are priced on every row of the block in place, each row
+    summed whole as a gathered copy would be, and an inactive row's
+    criterion is masked to -inf for argmax or +inf for argmin.  Ties go to
+    the lowest position, and an active criterion that overflowed to NaN
+    wins first.
+    """
+    if not active.any():
         return None
-    diag = np.diagonal(a)[idx]
+    diag = np.diagonal(a)
     if rule.kind == "max_diagonal":
-        return int(idx[np.argmax(diag)])
-    rows = a[idx]
-    l2sq = (rows * rows).sum(axis=1)
+        return int(np.argmax(np.where(active, diag, -np.inf)))
+    sq = a * a
+    l2sq = sq.sum(axis=1)
     if rule.kind == "max_trace_removal":
-        return int(idx[np.argmax(l2sq / diag)])
-    l1sq = np.abs(rows).sum(axis=1) ** 2
-    return int(idx[np.argmin(l1sq / l2sq)])  # min_cost_per_trace
+        crit = np.full(a.shape[0], -np.inf)
+        np.divide(l2sq, diag, out=crit, where=active)
+        return int(np.argmax(crit))
+    l1sq = np.abs(a, out=sq).sum(axis=1) ** 2  # min_cost_per_trace
+    crit = np.full(a.shape[0], np.inf)
+    np.divide(l1sq, l2sq, out=crit, where=active)
+    return int(np.argmin(crit))
 
 
 def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
     """Peel rank-one factors until the residual trace is negligible.
 
     An eigenvalue of A below -default_psd_tolerance(A) raises
-    NotPositiveSemidefiniteError.  Each step is one peel_step on the live
-    block of the residual: the rows and columns not yet peeled, exhausted
-    rows included, whose entries enter later steps.  The block drops its
-    peeled rows once a quarter of its rows have been peeled since it last
-    did, so a step validates and updates m x m entries for m live rows.
-    The trace, the pivot criteria and an exhausted row's norm are summed
-    over the block, in which a peeled position not yet dropped is an exact
-    zero; only the emitted factors are widened to n entries.  At most n
-    vectors are emitted (each step zeroes one row/column); peeling stops
-    once the trace left is at most 1e-12 |tr A| or every row is used.  With
-    tol = default_pivot_tolerance(A), a row whose diagonal is at most tol
-    is exhausted and skipped when ||a_j||_2 <= sqrt(max(a_jj, tol) * tr) +
-    tol * n, tr being the trace left at that step; a longer row cannot
-    belong to a PSD residual and raises SingularPivotError, which names
-    its index in A.
+    NotPositiveSemidefiniteError; a Cholesky factorization of the shifted
+    A certifies the rest without eigvalsh (_require_psd).  Each step is
+    one peel_step on the live block of the residual: the rows and columns
+    not yet peeled, exhausted rows included, whose entries enter later
+    steps.  The block drops its peeled rows once a quarter of its rows
+    have been peeled since it last did, so a step validates and updates
+    m x m entries for m live rows.  The trace, the pivot criteria and an
+    exhausted row's norm are summed over the block, in which a peeled
+    position not yet dropped is an exact zero.  The criteria are priced
+    on every row of the block, an inactive (peeled or exhausted) row's
+    masked to +-inf.  Only the emitted factors are widened to n entries.
+    At most n vectors are emitted (each step zeroes one row/column);
+    peeling stops once the trace left is at most 1e-12 |tr A| or every
+    row is used.  With tol = default_pivot_tolerance(A), a row whose
+    diagonal is at most tol is exhausted and skipped when ||a_j||_2 <=
+    sqrt(max(a_jj, tol) * tr) + tol * n, tr being the trace left at that
+    step; a longer row cannot belong to a PSD residual and raises
+    SingularPivotError, which names its index in A.
     """
     a = as_matrix_array(A)
     n = a.shape[0]

@@ -73,6 +73,7 @@ class TestDecomposeCommand:
         p = tmp_path / "npsd.txt"
         p.write_text("2\n0 1\n1 0\n")
         assert main(["decompose", str(p)]) == 2
+        assert "not positive semidefinite" in capsys.readouterr().err
 
     def test_parse_error_exits_2(self, tmp_path):
         p = tmp_path / "trunc.txt"

@@ -19,6 +19,7 @@ from l1gram import (
     trace,
     validate,
 )
+from l1gram.decompose import _select_pivot, default_psd_tolerance
 
 ONES3 = GramMatrix(np.ones((3, 3)))
 
@@ -241,6 +242,125 @@ class TestGreedyPeel:
         with pytest.raises(SingularPivotError) as exc:
             greedy_peel(a, PivotRule("max_diagonal"))
         assert exc.value.index == 5
+
+
+def _near_boundary(n, f, seed):
+    """A = Q diag(lam) Q^T, symmetrized, with the other eigenvalues in
+    [1, 2) and lam_min = -f * default_psd_tolerance(A)."""
+    rng = Rng(seed)
+    q, _ = np.linalg.qr(rng.normal(n * n).reshape(n, n))
+    lam = 1.0 + rng.uniform(n)
+    s = lam[1:].sum()
+    # tol = 1e-8 (1 + s + lam_0), solved for lam_0 = -f tol
+    lam[0] = -f * 1e-8 * (1.0 + s) / (1.0 + f * 1e-8)
+    a = (q * lam) @ q.T
+    return GramMatrix((a + a.T) / 2.0)
+
+
+GATE_CASES = [(n, f) for n in (6, 60) for f in (0.4, 0.6, 0.99, 1.01, 1.5)]
+
+
+class TestPsdGate:
+    """The Cholesky gate accepts only what the eigvalsh rule accepts, and
+    eigvalsh runs only where the gate fails."""
+
+    @pytest.mark.parametrize("n, f", GATE_CASES)
+    def test_inputs_lie_on_the_intended_sides(self, n, f):
+        a = _near_boundary(n, f, 70 + n).entries
+        tol = default_psd_tolerance(a)
+        lam_min = np.linalg.eigvalsh(a)[0]
+        assert (lam_min < -tol) == (f > 1.0)
+        assert (lam_min < -tol / 2) == (f > 0.5)
+
+    @pytest.mark.parametrize("n, f", GATE_CASES)
+    @pytest.mark.parametrize("peel", [greedy_peel, lambda A: peel_step(A, 0)],
+                             ids=["greedy_peel", "peel_step"])
+    def test_decides_as_the_eigvalsh_rule(self, n, f, peel, monkeypatch):
+        A = _near_boundary(n, f, 70 + n)
+        tol = default_psd_tolerance(A.entries)
+        lam_min = float(np.linalg.eigvalsh(A.entries)[0])
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or eigvalsh(a))
+        if lam_min < -tol:
+            with pytest.raises(NotPositiveSemidefiniteError) as exc:
+                peel(A)
+            assert exc.value.lambda_min == lam_min
+            assert exc.value.tolerance == tol
+        else:
+            peel(A)
+        assert len(calls) == (0 if f < 0.5 else 1)
+
+
+def _gathered_pivot(a, rule, active):
+    # the reference: the criteria over gathered copies of the active rows
+    idx = np.flatnonzero(active)
+    if idx.size == 0:
+        return None
+    diag = np.diagonal(a)[idx]
+    if rule.kind == "max_diagonal":
+        return int(idx[np.argmax(diag)])
+    rows = a[idx]
+    l2sq = (rows * rows).sum(axis=1)
+    if rule.kind == "max_trace_removal":
+        return int(idx[np.argmax(l2sq / diag)])
+    l1sq = np.abs(rows).sum(axis=1) ** 2
+    return int(idx[np.argmin(l1sq / l2sq)])
+
+
+def _pivot_block(kind, m):
+    if kind == "wishart":
+        return sample_wishart(m, Rng(900 + m)).entries
+    if kind == "repeated":
+        # G G^T for a factor with entries 1..7 whose second half repeats its
+        # first: integer entries, so twin rows tie exactly
+        g = (Rng(960 + m).u64(m * 6) % np.uint64(7)).astype(np.float64) + 1.0
+        g = g.reshape(m, 6)
+        g[m // 2:] = g[:m - m // 2]
+        return g @ g.T
+    # rows 0, 2, 4, ... scaled by 1e80: their squares overflow, so
+    # min_cost_per_trace prices them inf / inf = NaN
+    d = np.where(np.arange(m) % 2 == 0, 1e80, 1.0)
+    return sample_wishart(m, Rng(950 + m)).entries * np.outer(d, d)
+
+
+def _pivot_masks(a, rule):
+    m = a.shape[0]
+    rng = Rng(m)
+    masks = [np.zeros(m, dtype=bool), np.ones(m, dtype=bool)]
+    for j in (0, m // 2, m - 1):
+        one = np.zeros(m, dtype=bool)
+        one[j] = True
+        masks.append(one)
+    masks += [rng.uniform(m) < 0.5 for _ in range(8)]
+    # the row that wins over the whole block, masked out
+    with np.errstate(over="ignore", invalid="ignore"):
+        winner = _gathered_pivot(a, rule, np.ones(m, dtype=bool))
+    masks.append(np.arange(m) != winner)
+    return masks
+
+
+class TestMaskedPivot:
+    """_select_pivot prices the whole block and masks inactive rows, and
+    picks the row that the criteria over gathered active rows picked."""
+
+    @pytest.mark.parametrize("rule", ALL_RULES[:3],
+                             ids=lambda r: r.label())
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    @pytest.mark.parametrize("kind", ["wishart", "repeated", "huge"])
+    def test_same_row_as_the_gathered_criteria(self, kind, m, rule):
+        a = _pivot_block(kind, m)
+        if kind == "repeated" and m > 1:
+            assert len({r.tobytes() for r in a}) == m - m // 2
+        for active in _pivot_masks(a, rule):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expect = _gathered_pivot(a, rule, active)
+                got = _select_pivot(a, rule, active)
+            assert got == expect, active
+            assert (got is None) == (not active.any())
+            if got is not None:
+                assert active[got]
 
 
 def _digest(*chunks):
