@@ -9,10 +9,10 @@ excess of 1e-8 * max(1, n * tr(A)).
 Greedy peeling works on the residual's live block, the rows and columns
 not yet peeled (a peeled row and column are exactly zero), as pivoted
 Cholesky works on its trailing block.  Every step validates, updates and
-sums over the block alone; the pivot criteria are priced on every row of
-the block, with inactive rows masked to +-inf.  The block drops its
-peeled rows once a quarter of its rows have been peeled since it last
-did.
+sums over the block alone; the pivot criteria's row sums are taken on
+every row of the block in place, and only the active rows' criteria are
+compared.  The block drops its peeled rows once a quarter of its rows
+have been peeled since it last did.
 
 Peeling first requires a PSD input.  A Cholesky factorization of
 A + (tol/2) I certifies it; only where that fails does eigvalsh decide,
@@ -259,27 +259,24 @@ def _select_pivot(a: np.ndarray, rule: PivotRule,
     """The block position of the next pivot among the active rows of the
     live block ``a``, or None when no row is active.
 
-    The criteria are priced on every row of the block in place, each row
-    summed whole as a gathered copy would be, and an inactive row's
-    criterion is masked to -inf for argmax or +inf for argmin.  Ties go to
-    the lowest position, and an active criterion that overflowed to NaN
-    wins first.
+    The row sums are taken on every row of the block in place, over C-ordered
+    squares whatever the layout of ``a``, so each row is summed as a gathered
+    copy would be; only the active rows' sums are then divided and compared.
+    Ties go to the lowest active position, and an active criterion that
+    overflowed to NaN wins first.
     """
-    if not active.any():
+    idx = np.flatnonzero(active)
+    if idx.size == 0:
         return None
     diag = np.diagonal(a)
     if rule.kind == "max_diagonal":
-        return int(np.argmax(np.where(active, diag, -np.inf)))
-    sq = a * a
+        return int(idx[np.argmax(diag[idx])])
+    sq = np.multiply(a, a, order="C")
     l2sq = sq.sum(axis=1)
     if rule.kind == "max_trace_removal":
-        crit = np.full(a.shape[0], -np.inf)
-        np.divide(l2sq, diag, out=crit, where=active)
-        return int(np.argmax(crit))
+        return int(idx[np.argmax(l2sq[idx] / diag[idx])])
     l1sq = np.abs(a, out=sq).sum(axis=1) ** 2  # min_cost_per_trace
-    crit = np.full(a.shape[0], np.inf)
-    np.divide(l1sq, l2sq, out=crit, where=active)
-    return int(np.argmin(crit))
+    return int(idx[np.argmin(l1sq[idx] / l2sq[idx])])
 
 
 def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
@@ -294,9 +291,10 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
     have been peeled since it last did, so a step validates and updates
     m x m entries for m live rows.  The trace, the pivot criteria and an
     exhausted row's norm are summed over the block, in which a peeled
-    position not yet dropped is an exact zero.  The criteria are priced
-    on every row of the block, an inactive (peeled or exhausted) row's
-    masked to +-inf.  Only the emitted factors are widened to n entries.
+    position not yet dropped is an exact zero.  The criteria's row sums
+    are taken on every row of the block, and the pivot is chosen among
+    the active (not peeled, not exhausted) rows alone.  Only the emitted
+    factors are widened to n entries.
     At most n vectors are emitted (each step zeroes one row/column);
     peeling stops once the trace left is at most 1e-12 |tr A| or every
     row is used.  With tol = default_pivot_tolerance(A), a row whose

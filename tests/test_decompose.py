@@ -319,10 +319,25 @@ def _pivot_block(kind, m):
         g = g.reshape(m, 6)
         g[m // 2:] = g[:m - m // 2]
         return g @ g.T
-    # rows 0, 2, 4, ... scaled by 1e80: their squares overflow, so
-    # min_cost_per_trace prices them inf / inf = NaN
-    d = np.where(np.arange(m) % 2 == 0, 1e80, 1.0)
-    return sample_wishart(m, Rng(950 + m)).entries * np.outer(d, d)
+    if kind == "huge":
+        # rows 0, 2, 4, ... scaled by 1e80: their squares overflow, so
+        # min_cost_per_trace prices them inf / inf = NaN
+        d = np.where(np.arange(m) % 2 == 0, 1e80, 1.0)
+        return sample_wishart(m, Rng(950 + m)).entries * np.outer(d, d)
+    if kind == "l1_overflow":
+        # x (I + J) with (m + 3) x^2 = 1e308: every l2sq is finite while every
+        # l1sq = ((m + 1) x)^2 overflows once m > 1, so every row is priced
+        # inf / finite = inf and the lowest active row must win
+        return 1e154 / np.sqrt(m + 3) * (np.eye(m) + 1.0)
+    # circulant: every row is a cyclic shift of the first, so the criteria
+    # tie exactly and their roundoff, which follows the order each row is
+    # summed in, picks the row
+    c = Rng(940 + m).uniform(m) + 0.5
+    c = c + c[-np.arange(m)]
+    return c[(np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
+
+
+PIVOT_BLOCKS = ["wishart", "repeated", "huge", "l1_overflow", "circulant"]
 
 
 def _pivot_masks(a, rule):
@@ -342,25 +357,43 @@ def _pivot_masks(a, rule):
 
 
 class TestMaskedPivot:
-    """_select_pivot prices the whole block and masks inactive rows, and
-    picks the row that the criteria over gathered active rows picked."""
+    """_select_pivot sums the rows of the whole block in place, in C order
+    whatever the block's layout, and picks the row that the criteria over
+    gathered active rows picked."""
 
     @pytest.mark.parametrize("rule", ALL_RULES[:3],
                              ids=lambda r: r.label())
     @pytest.mark.parametrize("m", [1, 5, 40])
-    @pytest.mark.parametrize("kind", ["wishart", "repeated", "huge"])
-    def test_same_row_as_the_gathered_criteria(self, kind, m, rule):
+    @pytest.mark.parametrize("kind", PIVOT_BLOCKS)
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_same_row_as_the_gathered_criteria(self, layout, kind, m, rule):
         a = _pivot_block(kind, m)
         if kind == "repeated" and m > 1:
             assert len({r.tobytes() for r in a}) == m - m // 2
+        if kind == "l1_overflow" and m > 1:
+            with np.errstate(over="ignore"):
+                assert np.isinf(np.abs(a).sum(axis=1) ** 2).all()
+            assert np.isfinite((a * a).sum(axis=1)).all()
+        block = np.asfortranarray(a) if layout == "F" else a
         for active in _pivot_masks(a, rule):
             with np.errstate(over="ignore", invalid="ignore"):
                 expect = _gathered_pivot(a, rule, active)
-                got = _select_pivot(a, rule, active)
+                got = _select_pivot(block, rule, active)
             assert got == expect, active
             assert (got is None) == (not active.any())
             if got is not None:
                 assert active[got]
+
+    def test_peel_where_every_l1sq_overflows(self):
+        # every step pivots on an active row, as the gathered criteria did,
+        # never on a peeled row, so m distinct pivots empty the residual
+        m = 40
+        a = _pivot_block("l1_overflow", m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dec = greedy_peel(a)
+        assert dec.k == len(set(dec.pivots)) == m
+        assert (np.abs(dec.vectors).max(axis=1) > 0.0).all()
+        assert dec.residual_trace <= 1e-12 * np.trace(a)
 
 
 def _digest(*chunks):
