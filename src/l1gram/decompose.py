@@ -12,7 +12,8 @@ Cholesky works on its trailing block.  Every step validates, updates and
 sums over the block alone; the pivot criteria's row sums are taken on
 every row of the block in place, and only the active rows' criteria are
 compared.  The block drops its peeled rows once a quarter of its rows
-have been peeled since it last did.
+have been peeled since it last did.  Factor k is written into row k of one
+zeroed (n, n) array, at the block's rows.
 
 Peeling first requires a PSD input.  A Cholesky factorization of
 A + (tol/2) I certifies it; only where that fails does eigvalsh decide,
@@ -218,7 +219,7 @@ def peel_step(A, i: int,
     d = float(a[i, i])
     if d <= tol:
         _check_exhausted(a[i], d, tol, float(np.trace(a)), n, i)
-        return np.zeros(n), (A if isinstance(A, GramMatrix) else GramMatrix._wrap(a))
+        return np.zeros(n), GramMatrix._wrap(a)
     row = a[i]
     a2 = np.multiply.outer(row, row)
     a2 /= d
@@ -242,16 +243,6 @@ def per_step_cost_identity_check(A, i: int) -> float:
     rhs = (l1sq / l2sq) * trace_drop
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
-
-
-def _wide(x: np.ndarray, live: np.ndarray, n: int) -> np.ndarray:
-    """x (over the live block) widened to n entries, with zeros at the
-    peeled positions; x itself while the block is whole."""
-    if live.size == n:
-        return x
-    out = np.zeros(n)
-    out[live] = x
-    return out
 
 
 def _select_pivot(a: np.ndarray, rule: PivotRule,
@@ -293,8 +284,9 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
     exhausted row's norm are summed over the block, in which a peeled
     position not yet dropped is an exact zero.  The criteria's row sums
     are taken on every row of the block, and the pivot is chosen among
-    the active (not peeled, not exhausted) rows alone.  Only the emitted
-    factors are widened to n entries.
+    the active (not peeled, not exhausted) rows alone.  Factor k is
+    written into row k of one zeroed (n, n) array, at the live rows, and
+    its cost is summed over that row.
     At most n vectors are emitted (each step zeroes one row/column);
     peeling stops once the trace left is at most 1e-12 |tr A| or every
     row is used.  With tol = default_pivot_tolerance(A), a row whose
@@ -313,7 +305,7 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
     if rule.kind == "random_order":
         order = iter(Rng(rule.seed).permutation(n).tolist())
 
-    vectors = []
+    vecs = np.zeros((n, n))  # row k is factor k; never-written entries stay 0
     costs = []
     pivots = []
     live = np.arange(n)  # block position -> row of A, ascending
@@ -343,17 +335,16 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
             break
         x, A2 = peel_step(a, j, check_psd=False)
         a = A2.entries
-        x = _wide(x, live, n)
-        vectors.append(x)
-        costs.append(np.abs(x).sum() ** 2)
+        k = len(pivots)
+        vecs[k, live] = x
+        costs.append(np.abs(vecs[k]).sum() ** 2)
         pivots.append(int(live[j]))
         used[live[j]] = True
         peeled.append(j)
 
-    vecs = np.array(vectors) if vectors else np.zeros((0, n))
     costs = np.asarray(costs, dtype=np.float64)
     return Decomposition(
-        vectors=vecs,
+        vectors=vecs[:len(pivots)],
         costs=costs,
         total_cost=float(costs.sum()),
         source=f"peel({rule.label()})",
@@ -380,10 +371,10 @@ def validate(dec: Decomposition, A) -> ValidationReport:
             f"reconstruction error {err:.3e} exceeds allowance {allowance:.3e}"
         )
 
-    recomputed = np.abs(dec.vectors).sum(axis=1) ** 2 if dec.k else np.zeros(0)
+    recomputed = np.abs(dec.vectors).sum(axis=1) ** 2
     scale = max(1.0, abs(dec.total_cost))
     cost_disc = max(
-        float(np.abs(recomputed - dec.costs).max()) if dec.k else 0.0,
+        float(np.abs(recomputed - dec.costs).max(initial=0.0)),
         abs(float(recomputed.sum()) - dec.total_cost),
     ) / scale
     cost_ok = cost_disc <= 1e-12

@@ -256,6 +256,16 @@ class TestFrozenWriterBytes:
         save_decomposition(p, greedy_peel(wishart400, rule))
         assert _sha256(p) == digest
 
+    def test_save_decomposition_greedy_rank_deficient(self, tmp_path):
+        # FROZEN_INPUTS["rank60"] of test_decompose: k = 60 < n = 96 rows,
+        # and the live block compacts along the way
+        dec = greedy_peel(sample_wishart(96, Rng(2026), p=60))
+        assert dec.vectors.shape == (60, 96)
+        p = tmp_path / "r.txt"
+        save_decomposition(p, dec)
+        assert _sha256(p) == (
+            "652e42a46837f225c8446432a5e1fbe08a8c0023798548d6b7697c197fc2e2dc")
+
     def test_save_decomposition_eigen(self, tmp_path, wishart400):
         p = tmp_path / "e.txt"
         save_decomposition(p, eigen_decomposer(wishart400))
