@@ -24,11 +24,11 @@ import numpy as np
 
 from .linalg import (
     GramMatrix,
+    _L1Work,
     _project_l1_rows,
     as_matrix_array,
     max_eigenvalue,
     operator_norm,
-    project_l1_sphere,
 )
 from .randcert import _STACK_CAP, estimate_kappa_for, sample_W, shift_to_T
 from .rng import Rng
@@ -116,15 +116,20 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
         )
     best = 0.0
     best_x = np.zeros(n)
-    # signed vertex 2i + b is (i, (-1)^b), M its matrix s_u s_v T_ij; edge
-    # [u, v] holds when v has the later index and the pair passes the test
-    index = np.arange(2 * n) // 2
-    M = np.kron(arr, [[1.0, -1.0], [-1.0, 1.0]])
-    diag = np.diag(M)
-    curvature = np.add.outer(diag, diag) - 2.0 * M
-    margin = 4.0 * np.finfo(np.float64).eps * (
-        np.add.outer(np.abs(diag), np.abs(diag)) + 2.0 * np.abs(M))
-    edge = (curvature <= margin) & (index[:, None] < index[None, :])
+    # signed vertex 2i + b is (i, (-1)^b); edge [u, v] holds when v has the
+    # later index and the pair passes the test, whose curvature is
+    # T_ii + T_jj - 2 T_ij for equal signs and T_ii + T_jj + 2 T_ij for
+    # opposite ones (the same bits as subtracting 2 s_i s_j T_ij)
+    diag = np.diag(arr)
+    pair = np.add.outer(diag, diag)
+    twice = 2.0 * arr
+    margin = 4.0 * EPS * (np.add.outer(np.abs(diag), np.abs(diag)) + np.abs(twice))
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    same = (pair - twice <= margin) & later
+    opposite = (pair + twice <= margin) & later
+    # edge[2i + b, 2j + c] is same where b == c and opposite where not
+    edge = np.stack((np.stack((same, opposite), axis=2),
+                     np.stack((opposite, same), axis=2)), axis=1).reshape(2 * n, 2 * n)
     # the cliques of one size as rows of signed vertices (the smallest dtype
     # holding 2n keeps wide levels small) and the later vertices adjacent to
     # every member, starting from the positive vertices
@@ -172,7 +177,7 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
         parent, vertex = np.nonzero(common)
         order = np.argsort(np.cumsum(starts)[parent] * (2 * n) + vertex, kind="stable")
         parent, vertex = parent[order], vertex[order]
-        clique = np.column_stack((clique[parent], vertex.astype(clique.dtype)))
+        clique = np.concatenate((clique[parent], vertex[:, None].astype(clique.dtype)), axis=1)
         common = common[parent] & edge[vertex]
     return BoundReport(
         quantity="rho1",
@@ -391,17 +396,18 @@ def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCerti
 
 def _project_psd_shift(y: np.ndarray, t, d: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Exactly symmetric projection of y onto {Y : Y - t PSD} (eigenvalue
-    clipping), written into out and returned; d is scratch for y - t and
-    then P + P^T.
+    clipping), written into out and returned; d is scratch for y - t, then
+    V diag(lambda+) and P + P^T, and out holds P before the result.
 
     y and t (an array, or 0.0) must be exactly symmetric, so that eigh gets
     y - t as it stands: it reads only the lower triangle, and (D + D^T)/2
     would return D's own bits.  The gemm's P = V diag(lambda+) V^T is not
-    exactly symmetric, so the result is t + (P + P^T)/2.
+    exactly symmetric, so the result is t + (P + P^T)/2.  out must not be
+    t; y is read only before out is written.
     """
     np.subtract(y, t, out=d)
     lam, v = np.linalg.eigh(d)
-    p = (v * np.maximum(lam, 0.0)) @ v.T
+    p = np.matmul(np.multiply(v, np.maximum(lam, 0.0, out=lam), out=d), v.T, out=out)
     np.add(p, p.T, out=d)
     d /= 2.0
     return np.add(t, d, out=out)
@@ -415,15 +421,17 @@ def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
     upper, y_best = math.inf, None
     eye = np.eye(n)
     # work buffers for V = Z - U, Y and the Z of this and the last step; W
-    # holds |V|, V / r, Y + U, Y - Z and -U; D is the PSD projection's scratch
+    # holds |V|, V / r, Y + U, Y - Z, -U and the check's temporaries; D is
+    # the PSD projection's scratch, and prox the l1 projection's
     z, z_prev = t.copy(), np.empty_like(t)
     v, y, w, d = (np.empty_like(t) for _ in range(4))
+    prox = _L1Work((n * n,))
     for k in range(1, iter_cap + 1):
         r = 1.0 / rho
         np.subtract(z, u, out=v)
         if np.abs(v, out=w).sum() > r:
             np.divide(v, r, out=w)
-            np.multiply(r, project_l1_sphere(w.ravel()).reshape(n, n), out=y)
+            np.multiply(r, _project_l1_rows(w.ravel(), prox).reshape(n, n), out=y)
             np.subtract(v, y, out=y)
         else:
             y.fill(0.0)
@@ -433,24 +441,25 @@ def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
             continue
         # the PSD part of -U, in V's buffer
         a = _project_psd_shift(np.negative(u, out=w), 0.0, d, v)
-        norm1 = np.abs(a).sum()
-        if norm1 > 0.0 and float((t * a).sum()) / norm1 > lower:
+        norm1 = np.abs(a, out=w).sum()
+        if norm1 > 0.0 and float(np.multiply(t, a, out=w).sum()) / norm1 > lower:
             a_best = a / norm1
-            lower = float((t * a_best).sum())
-        z_max = np.abs(z).max()
+            lower = float(np.multiply(t, a_best, out=w).sum())
+        z_max = np.abs(z, out=w).max()
         if z_max < upper:
-            zt = z - t
+            zt = np.subtract(z, t, out=w)
             delta = max(0.0, -float(np.linalg.eigvalsh(zt)[0])) + (n + 2) * EPS * (
                 np.linalg.norm(zt) + z_max)
-            y_c = z + delta * eye
-            y_max = float(np.abs(y_c).max())
+            y_c = z + np.multiply(delta, eye, out=w)
+            y_max = float(np.abs(y_c, out=w).max())
             if y_max < upper:
                 upper, y_best = y_max, y_c
         if upper - lower <= tol_gap:
             return lower, a_best, upper, y_best, True
         # residual balancing on the relative residuals (Z != 0 as T is not NSD)
-        res = np.linalg.norm(y - z) / max(np.linalg.norm(y), np.linalg.norm(z))
-        dz, du = np.linalg.norm(z - z_prev), np.linalg.norm(u)
+        res = np.linalg.norm(np.subtract(y, z, out=w)) / max(
+            np.linalg.norm(y), np.linalg.norm(z))
+        dz, du = np.linalg.norm(np.subtract(z, z_prev, out=w)), np.linalg.norm(u)
         if res > 0.0 and dz > 0.0 and du > 0.0:
             f = min(5.0, max(0.2, math.sqrt(res * du / dz)))
             rho *= f
@@ -473,12 +482,17 @@ def piplus_dual_upper(T, iter_cap: int = 60000) -> BoundReport:
     rescales rho and U by sqrt(primal / dual relative residual), clipped to
     [0.2, 5].  With r = 1/rho, P(V) = V, so Y = 0, when ||V||_1 <= r, and
     otherwise P(V) = r project_l1_sphere(V / r): one sort-and-threshold of
-    V / r taken as a single n^2-vector.  Each iteration writes V, Y,
-    D = Y + U - T, P + P^T, Z and its other temporaries into buffers made
-    once per run; two Z buffers alternate, as the balancing reads the last
-    Z, and rescaling divides U in place.  T, Z = T + (P + P^T)/2 and every
-    update are exactly symmetric (the prox and the rescaling act entrywise
-    with scalar thresholds), so eigh is handed D without symmetrizing it.
+    V / r taken as a single n^2-vector.  Each run makes one workspace and
+    keeps nothing across calls.  Every iteration writes into it: V, Y,
+    D = Y + U - T, V diag(lambda+), P, P + P^T and Z; the prox's |V / r|,
+    sorted magnitudes, cumulative sums, criterion and sign, with the
+    1..n^2 ramp made once; and every 10th the check's |A|, T o A, Z - T,
+    Y - Z and Z - Z_prev.  Beside the eigensolvers' results, the only new
+    arrays are a shifted witness and an improved A.  Two Z buffers
+    alternate, as the balancing reads the last Z, and rescaling divides U in
+    place.  T, Z = T + (P + P^T)/2 and every update are exactly symmetric
+    (the prox and the rescaling act entrywise with scalar thresholds), so
+    eigh is handed D without symmetrizing it.
 
     Both ends are certified at every 10th and at the last iteration.  A
     step leaves U = D - D+ with D = Y + U - T, so the PSD part A of -U,

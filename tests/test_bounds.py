@@ -128,6 +128,24 @@ class TestRho1Exact:
         assert rep.upper == 0.5
         assert np.array_equal(rep.witness, [0.5, 0, 0.5, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_zero_matrix_prices_every_pattern_once(self, n, monkeypatch):
+        # every pair of the zero matrix is exactly flat with a zero margin, so
+        # the pair test keeps all (3^n - 1)/2 patterns, each once and none on
+        # more than n indices; all are singular, so each slice's first solve
+        # gets every pattern of the slice and raises
+        solve, rows = np.linalg.solve, []
+
+        def counted(a, b):
+            assert a.shape[-1] <= n
+            rows.append(b.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        rep = rho1_exact(GramMatrix(np.zeros((n, n))))
+        assert rep.upper == 0.0
+        assert sum(rows) == (3 ** n - 1) // 2
+
     def test_witness_achieves_value(self):
         A = random_symmetric(6, 321)
         rep = rho1_exact(A)
@@ -708,6 +726,24 @@ def test_dual_hands_eigh_only_exactly_symmetric_matrices(key, monkeypatch):
     T, kwargs = FROZEN_DUAL_INPUTS[key]()
     piplus_dual_upper(T, **kwargs)
     assert seen and all(seen), f"{seen.count(False)} of {len(seen)} asymmetric"
+
+
+def dual_report_bytes(rep):
+    return (repr(rep.lower).encode(), repr(rep.upper).encode(), rep.method.encode(),
+            rep.witness.entries.tobytes())
+
+
+def test_dual_runs_back_to_back_leave_each_other_alone():
+    # each run makes its own workspace: a report must hash as the same call
+    # run alone (the frozen digest), and a later run must not change an
+    # earlier report's bytes
+    reports, seen = [], []
+    for key in ["T12", "W8", "T12", "T8-cap3"]:
+        T, kwargs = FROZEN_DUAL_INPUTS[key]()
+        reports.append(piplus_dual_upper(T, **kwargs))
+        seen.append(dual_report_bytes(reports[-1]))
+        assert hashlib.sha256(b"".join(seen[-1])).hexdigest() == FROZEN_DUAL[key], key
+    assert [dual_report_bytes(rep) for rep in reports] == seen
 
 
 def test_hollow_ratio_at_most_two():

@@ -13,7 +13,7 @@ from l1gram import (
     project_l1_sphere,
     trace,
 )
-from l1gram.linalg import _project_l1_rows
+from l1gram.linalg import _L1Work, _project_l1_rows
 
 ONES3 = GramMatrix(np.ones((3, 3)))
 
@@ -258,3 +258,37 @@ def test_project_vector_matches_its_single_row(family):
         vectors = [row for batch in projection_batches() for row in batch]
     for x in vectors:
         assert project_l1_sphere(x).tobytes() == _project_l1_rows(x[None])[0].tobytes()
+
+
+def stale_work(shape):
+    """An _L1Work whose scratch holds NaN (and True in the mask), so that a
+    read before a write shows in the output bytes."""
+    work = _L1Work(shape)
+    for name in ("abs", "srt", "cumsum", "crit", "sign"):
+        getattr(work, name).fill(np.nan)
+    work.mask.fill(True)
+    return work
+
+
+@pytest.mark.parametrize("family", ["admm", "batches"])
+def test_project_with_workspace_matches_the_allocating_call(family):
+    # the ADMM's prox writes every temporary into one workspace; the bytes,
+    # signed zeros included, must be those of the call without it, and x
+    # must come back untouched
+    if family == "admm":
+        vectors = admm_sized_vectors()
+    else:
+        vectors = [row for batch in projection_batches() for row in batch]
+    for x in vectors:
+        before = x.tobytes()
+        y = _project_l1_rows(x, stale_work(x.shape))
+        assert y.tobytes() == _project_l1_rows(x).tobytes()
+        assert x.tobytes() == before
+
+
+def test_project_batches_with_workspace_match_the_allocating_call():
+    # a batch with every row outside the ball runs in the workspace, one
+    # that mixes rows inside and outside gathers them without it
+    for x in projection_batches():
+        y = _project_l1_rows(x, stale_work(x.shape))
+        assert y.tobytes() == _project_l1_rows(x).tobytes()
