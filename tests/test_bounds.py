@@ -666,7 +666,7 @@ class TestPiplusDualUpper:
 
 
 # Every route through the ADMM: build_T at the sizes of the bounds scenarios
-# (T30 rebalances rho for 1330 iterations), a hollow W, a Wishart matrix
+# (T30 rebalances rho for 390 iterations), a hollow W, a Wishart matrix
 # whose bracket closes at the first check, a matrix of small norm whose first
 # iterations take the Y = 0 branch of the prox, and a budget of 3 iterations
 # that ends dual_ap(inconclusive).
@@ -681,25 +681,38 @@ FROZEN_DUAL_INPUTS = {
 }
 FROZEN_DUAL = {
     "T12":
-        "6da27e35775fd8d7d8e9c3f15321b3936e86edde44cc9b2dd1f10a9a1f6f4d69",
+        "dd623877cecb3536a31b380a1661b707fffd01fe21161efb1702ffe1812abfe3",
     "T30":
-        "4fb41eb0ec7c887415fc006b9a9fb7149a8766df9f8759b5bc9bc78fda9e7113",
+        "41345c0bf7eafb6c0c81e2eeba45dd82b78ecf113f73dd2f3f54b5eae3e54e0a",
     "T8":
-        "e45d31c9495f922cb725980cd7ca1b1c2eb5244a9787350dd72ce841e9c26d03",
+        "4dc8d40094e40e63bb5e7320ae3aa3d43bdc2a1bb03a3c56757757b87aa8d0a9",
     "T8-cap3":
-        "035bf7e27bad1ac575ed12ef5ed2858789ae196319273831f25baf626b19aa36",
+        "f4b42cd13d2c6f4363ac247fc2e81e14bf18d3e808b9d488981f4094bc5f22d1",
     "W8":
-        "dc4875b709b18ba4f52cafdc750ce34d49f2e835ed5a47745389472b227c62c2",
+        "cc64615f860b180b08d8f7f4100f3e4cb25cd4754333264fc74eb53c77cfd77d",
     "small5":
-        "e686365c9562b0cfb3a3c1edc6cd0b75d7d4d5c0d0a6b972f12ed28468f76ae6",
+        "4b5fe1dab267b858207e7407b027989f30c17601dcbc2e2a0090411fe098015f",
     "wishart10":
         "0cfac4093ed3817562a34ece03c9960c8df2abdab4aea29b95c1f3c29da5ef88",
 }
 
 
+# (lower, upper) of each FROZEN_DUAL_INPUTS entry from the unrelaxed ADMM
+# (alpha = 1), recorded before the over-relaxation
+UNRELAXED_DUAL_BRACKETS = {
+    "T12": (0.6889957594538667, 0.6889957815737637),
+    "T30": (0.7157050895632731, 0.7157051607697891),
+    "T8": (0.6629054389910845, 0.662905446437178),
+    "T8-cap3": (0.6138602056630638, 0.9864768514612722),
+    "W8": (0.7499999999999989, 0.7500000016331211),
+    "small5": (0.012590093514669252, 0.012590093555914002),
+    "wishart10": (18.260236170031693, 18.260236170031742),
+}
+
+
 class TestPiplusDualFrozen:
     """SHA-256 of repr(lower), repr(upper), the method and the witness
-    bytes, recorded before the ADMM iteration was trimmed."""
+    bytes, recorded with the over-relaxed ADMM (alpha = 1.5)."""
 
     @pytest.mark.parametrize("key", sorted(FROZEN_DUAL_INPUTS))
     def test_digest(self, key):
@@ -726,6 +739,39 @@ def test_dual_hands_eigh_only_exactly_symmetric_matrices(key, monkeypatch):
     T, kwargs = FROZEN_DUAL_INPUTS[key]()
     piplus_dual_upper(T, **kwargs)
     assert seen and all(seen), f"{seen.count(False)} of {len(seen)} asymmetric"
+
+
+class TestPiplusDualRelaxed:
+    @pytest.mark.parametrize("key", sorted(FROZEN_DUAL_INPUTS))
+    def test_bracket_overlaps_unrelaxed_bracket(self, key):
+        # both brackets hold piplus, so they overlap; a closed one stays
+        # within the tolerance
+        T, kwargs = FROZEN_DUAL_INPUTS[key]()
+        rep = piplus_dual_upper(T, **kwargs)
+        lower, upper = UNRELAXED_DUAL_BRACKETS[key]
+        assert rep.lower <= upper and lower <= rep.upper
+        if rep.method == "dual_ap":
+            assert rep.upper - rep.lower <= 1e-8 * max(1.0, max_eigenvalue(T))
+
+    # eigh runs once per iteration and once per 10-iteration check, so k
+    # iterations cost 1.1 k calls.  The unrelaxed ADMM made 1463 calls on the
+    # bench's T30 (1330 iterations) and 8195 on criterion 06's slowest
+    # matrix (7450); over-relaxed, 1012 (920) and 6259 (5690).
+    @pytest.mark.parametrize("make_T, max_calls", [
+        (lambda: build_T(30, Rng(0).child(20)), 1100),
+        (lambda: build_T(10, Rng(20260809 + 50_013)), 7000),
+    ], ids=["bench-T30", "criterion06-tail"])
+    def test_iteration_count(self, make_T, max_calls, monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(None)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rep = piplus_dual_upper(make_T())
+        assert rep.method == "dual_ap"
+        assert len(calls) <= max_calls
 
 
 def dual_report_bytes(rep):
