@@ -43,7 +43,6 @@ from .linalg import (
     max_eigenvalue,
     min_eigenvalue,
     operator_norm,
-    project_l1_sphere,
     trace,
 )
 from .matio import load_matrix, save_decomposition, save_matrix

@@ -208,7 +208,8 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
     The restarts advance together as the rows of one (restarts, n) array,
     each with its own step size and accept test; a row leaves the live set
     once its step size underflows, and the arrays are compacted to the live
-    rows only then.  A step makes one row-wise l1-sphere projection, one
+    rows only then.  A step makes one row-wise l1-sphere projection, on
+    one workspace per run that is made again when rows leave, one
     stacked gradient X @ T and one stacked value
     matmul(X[:, None, :], G[:, :, None]), which numpy prices row by row with
     the BLAS dot that x @ g uses on one vector.
@@ -248,7 +249,8 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
         return np.ascontiguousarray(P[:m, :n])
 
     step0 = 1.0 / math.sqrt(n)
-    X = _project_l1_rows(np.stack([rng.child(r).normal(n) for r in range(restarts)]))
+    work = _L1Work((restarts, n))
+    X = _project_l1_rows(np.stack([rng.child(r).normal(n) for r in range(restarts)]), work)
     G = gradient(X)
     f = np.matmul(X[:, None, :], G[:, :, None])[:, 0, 0]
     eta = np.full(f.size, step0)
@@ -259,7 +261,7 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
     for _ in range(steps):
         if live.size == 0:
             break
-        cand = _project_l1_rows(X + (2.0 * eta)[:, None] * G)
+        cand = _project_l1_rows(X + (2.0 * eta)[:, None] * G, work)
         gc = gradient(cand)
         fc = np.matmul(cand[:, None, :], gc[:, :, None])[:, 0, 0]
         up = fc > f + 1e-15 * np.abs(f)
@@ -273,6 +275,7 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
             gone = ~keep
             X_end[live[gone]], f_end[live[gone]] = X[gone], f[gone]
             X, G, f, eta, live = X[keep], G[keep], f[keep], eta[keep], live[keep]
+            work = _L1Work(X.shape)
     X_end[live], f_end[live] = X, f
     X, f = X_end, f_end
     best, best_x = 0.0, np.zeros(n)
@@ -494,15 +497,16 @@ def piplus_dual_upper(T, iter_cap: int = 60000) -> BoundReport:
     with the unrelaxed Y - Z as the primal residual.  alpha = 1.5 cuts the
     iterations by 20-30% at n = 12..100 (1330 -> 920 on the bench's n = 30
     matrix); 1.6 and above slow the fast runs.  With r = 1/rho, P(V) = V,
-    so Y = 0, when ||V||_1 <= r, and otherwise P(V) = r
-    project_l1_sphere(V / r): one sort-and-threshold of V / r taken as a
-    single n^2-vector.  Each run makes one workspace and keeps nothing
-    across calls.  Every iteration writes into it: V, Y, W, D = W - T,
-    V diag(lambda+), P, P + P^T and Z; the prox's |V / r|, sorted
-    magnitudes, cumulative sums, criterion and sign, with the 1..n^2 ramp
-    made once; and every 10th the check's |A|, T o A, Z - T, Y - Z and
-    Z - Z_prev.  Beside the eigensolvers' results, the only new arrays are
-    a shifted witness and an improved A.  Two Z buffers alternate, as the
+    so Y = 0, when ||V||_1 <= r, and otherwise P(V) = r times the l1-sphere
+    projection of V / r: one sort-and-threshold of V / r taken as a single
+    n^2-vector.  Each run makes one workspace and keeps nothing across
+    calls.  Every iteration writes into it: V, Y, W, D = W - T,
+    V diag(lambda+), P, P + P^T and Z; the prox's sorted magnitudes,
+    cumulative sums, criterion and sign, with the 1..n^2 ramp made once;
+    and every 10th the check's |A|, T o A, Z - T, Y - Z and Z - Z_prev.
+    Beside the eigensolvers' results, the new arrays are the prox's result
+    (one n^2 array per iteration that projects), a shifted witness and an
+    improved A.  Two Z buffers alternate, as the
     balancing reads the last Z, and rescaling divides U in place.  T,
     Z = T + (P + P^T)/2 and every update are exactly symmetric (the prox,
     the relaxation and the rescaling act entrywise with scalar factors and

@@ -2,8 +2,9 @@
 
 All matrices are real symmetric, stored dense in float64; vectors are plain
 1-d float64 arrays.  ``GramMatrix`` enforces symmetry at construction, and
-``GramMatrix._wrap`` makes the array it is given read-only; every other
-operation here is a pure function.
+``GramMatrix._wrap`` makes the array it is given read-only, and
+``_project_l1_rows`` writes its scratch into the ``_L1Work`` it is given;
+every other operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -101,93 +102,71 @@ def operator_norm(A) -> float:
     return float(max(abs(lam[0]), abs(lam[-1])))
 
 
-def project_l1_sphere(x) -> np.ndarray:
-    """Project onto the unit l1 sphere {y : ||y||_1 = 1}.
-
-    Points outside the unit l1 ball get the Euclidean ball projection
-    (sort-and-threshold on |x| with signs restored; Duchi et al., ICML
-    2008), which lands on the sphere; points strictly inside are rescaled
-    to unit l1 norm.  The zero or a non-finite vector raises ValueError.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a vector")
-    return _project_l1_rows(x)
-
-
 class _L1Work:
-    """Buffers for _project_l1_rows(x, work) on an x of one shape: |x|
-    (the result is built there), the sorted magnitudes, their cumulative
-    sums, the criterion, its mask and sign(x), and the 1..n ramp."""
+    """Scratch for _project_l1_rows(x, work) on an x of one shape: the
+    sorted magnitudes, their cumulative sums, the criterion, its mask and
+    sign(x), and the 1..n ramp.  The result is never built here, so a
+    caller may keep it while it projects again on the same workspace."""
 
-    __slots__ = ("abs", "srt", "cumsum", "crit", "mask", "sign", "ramp")
+    __slots__ = ("srt", "cumsum", "crit", "mask", "sign", "ramp")
 
     def __init__(self, shape):
-        self.abs, self.srt, self.cumsum, self.crit, self.sign = (
-            np.empty(shape) for _ in range(5))
+        self.srt, self.cumsum, self.crit, self.sign = (np.empty(shape) for _ in range(4))
         self.mask = np.empty(shape, dtype=bool)
         self.ramp = np.arange(1.0, shape[-1] + 1.0)
 
 
-def _project_l1_rows(x: np.ndarray, work: _L1Work | None = None) -> np.ndarray:
-    """project_l1_sphere along the last axis of x: the vector x itself, or
-    every row of the (m, n) array x.
+def _project_l1_rows(x: np.ndarray, work: _L1Work) -> np.ndarray:
+    """Project onto the unit l1 sphere {y : ||y||_1 = 1} along the last axis
+    of x: the vector x itself, or every row of the (m, n) array x.
 
-    Every reduction runs along the contiguous last axis, so each row of a
-    C-contiguous x comes out bit for bit as it would alone.  A vector's
-    norm is tested as a Python float (finite, nonzero, above 1), which
-    takes the branches of the row tests without their .all() calls on a
-    numpy scalar, about 2 us each.  With work (an _L1Work of x's shape)
-    every temporary and the result are written into its buffers, except
-    where a batch mixes rows inside and outside the ball; the bytes are
-    those of the call without it.
+    Points outside the unit l1 ball get the Euclidean ball projection
+    (sort-and-threshold on |x| with signs restored; Duchi et al., ICML
+    2008), which lands on the sphere; points inside are rescaled to unit l1
+    norm.  The zero or a non-finite vector (or row) raises ValueError.
+
+    work is an _L1Work of x's shape; the result is a new array, the
+    caller's.  Every reduction runs along the contiguous last axis, so each
+    row of a C-contiguous x comes out bit for bit as it would alone.  A
+    batch is shrunk whole, and its rows inside the ball are overwritten.  A
+    vector's norm is tested as a Python float, which skips the .all() calls
+    of the row tests on a numpy scalar, about 2 us each.
     """
-    a = np.abs(x) if work is None else np.abs(x, out=work.abs)
+    a = np.abs(x)
     norm1 = np.add.reduce(a, -1)
     if x.ndim == 1:
         s = float(norm1)
         if math.isfinite(s) and s != 0.0:
             if s > 1.0:
                 return _shrink_rows(x, a, work)
-            return np.divide(x, s, out=None if work is None else a)
+            return np.divide(x, s, out=a)
     elif (np.isfinite(norm1) & (norm1 != 0.0)).all():
-        out = norm1 > 1.0
-        if out.all():  # the usual case in the ascent: no gathers
-            return _shrink_rows(x, a, work)
-        inside = ~out
-        y = np.empty_like(x)
-        y[inside] = x[inside] / norm1[inside, None]
-        y[out] = _shrink_rows(x[out], a[out])
+        y = _shrink_rows(x, a, work)
+        inside = norm1 <= 1.0
+        if inside.any():  # rare in the ascent
+            np.divide(x, norm1[:, None], out=y, where=inside[:, None])
         return y
     raise ValueError("cannot project the zero (or non-finite) vector")
 
 
-def _shrink_rows(x: np.ndarray, a: np.ndarray, work: _L1Work | None = None) -> np.ndarray:
-    """The l1-ball projection along the last axis of x, every row outside
-    the ball, a = |x|.
+def _shrink_rows(x: np.ndarray, a: np.ndarray, work: _L1Work) -> np.ndarray:
+    """The l1-ball projection along the last axis of x, a = |x|, with every
+    temporary in work, an _L1Work of x's shape.
 
-    The result is built in a's buffer, which the caller gives up.  With
-    work, an _L1Work of x's shape, every other temporary goes into its
-    buffers; without it, each is a new array, as the multistart's batches
-    want (a workspace made per call slowed its n = 100 ascent by about 5%).
-    Both take the same steps.
+    The result is built in a's buffer, which the caller gives up.  A row
+    inside the ball is shrunk too, with a threshold of at most 0 and a
+    result of no use, and the caller overwrites it.
     """
-    n = x.shape[-1]
-    if work is None:
-        srt, ramp = np.sort(a, axis=-1), np.arange(1.0, n + 1.0)
-        cumsum = crit = mask = sign = None
-    else:
-        srt, ramp = work.srt, work.ramp
-        cumsum, crit, mask, sign = work.cumsum, work.crit, work.mask, work.sign
-        np.copyto(srt, a)
-        srt.sort()
+    n, srt = x.shape[-1], work.srt
+    np.copyto(srt, a)
+    srt.sort()
     u = srt[..., ::-1]
     # ufunc methods in place of the cumsum and sum wrappers, about 1 us each
-    cumsum = np.add.accumulate(u, -1, out=cumsum)
+    cumsum = np.add.accumulate(u, -1, out=work.cumsum)
     cumsum -= 1.0
     # the last index where u_k k > cumsum_k - 1 (always true at k = 1)
     rho = n - 1 - np.greater(
-        np.multiply(u, ramp, out=crit), cumsum, out=mask)[..., ::-1].argmax(-1)
+        np.multiply(u, work.ramp, out=work.crit), cumsum, out=work.mask)[..., ::-1].argmax(-1)
     # cumsum at rho in each row; a vector's theta and s stay numpy scalars,
     # which a ufunc takes about 0.4 us faster than a one-element column
     if x.ndim == 1:
@@ -199,7 +178,7 @@ def _shrink_rows(x: np.ndarray, a: np.ndarray, work: _L1Work | None = None) -> n
     # s comes after the sign multiply: a row can end with a negative theta
     # (its pairwise norm above 1, its sorted cumulative sum not), and then
     # a zero entry holds -theta until its sign of 0 clears it
-    a *= np.sign(x, out=sign)
+    a *= np.sign(x, out=work.sign)
     s = np.add.reduce(np.abs(a, out=srt), -1)
     # kills the last ulp of threshold roundoff; a row with s = 1 keeps its bits
     a /= s if x.ndim == 1 else s[:, None]

@@ -10,12 +10,16 @@ from l1gram import (
     entrywise_one_norm,
     min_eigenvalue,
     operator_norm,
-    project_l1_sphere,
     trace,
 )
 from l1gram.linalg import _L1Work, _project_l1_rows
 
 ONES3 = GramMatrix(np.ones((3, 3)))
+
+
+def project(x):
+    """_project_l1_rows on a fresh workspace of x's shape."""
+    return _project_l1_rows(x, _L1Work(x.shape))
 
 
 def brute_sphere_projection(x, step=1e-3):
@@ -92,12 +96,12 @@ def test_operator_norm_dominates_rayleigh_quotients():
 
 class TestProjectL1Sphere:
     def test_simple_examples(self):
-        assert np.allclose(project_l1_sphere(np.array([2.0, 0.0])), [1.0, 0.0])
-        assert np.allclose(project_l1_sphere(np.array([0.2, 0.2])), [0.5, 0.5])
+        assert np.allclose(project(np.array([2.0, 0.0])), [1.0, 0.0])
+        assert np.allclose(project(np.array([0.2, 0.2])), [0.5, 0.5])
 
     def test_three_one_against_grid_oracle(self):
         x = np.array([3.0, 1.0])
-        y = project_l1_sphere(x)
+        y = project(x)
         assert np.allclose(y, [1.0, 0.0], atol=1e-12)
         oracle = brute_sphere_projection(x)
         assert np.abs(y - oracle).max() <= 2e-3
@@ -108,7 +112,7 @@ class TestProjectL1Sphere:
             x = 3.0 * r.normal(2)
             if np.abs(x).sum() == 0.0:
                 continue
-            y = project_l1_sphere(x)
+            y = project(x)
             oracle = brute_sphere_projection(x)
             assert np.linalg.norm(y - x) <= np.linalg.norm(oracle - x) + 1e-6
 
@@ -116,9 +120,9 @@ class TestProjectL1Sphere:
         r = Rng(8)
         for t in range(200):
             x = r.normal(6) * (10.0 ** (t % 5 - 2))
-            y = project_l1_sphere(x)
+            y = project(x)
             assert abs(np.abs(y).sum() - 1.0) <= 1e-12
-            y2 = project_l1_sphere(y)
+            y2 = project(y)
             assert np.abs(y2 - y).max() <= 1e-12
 
     def test_zero_vector_rejected(self):
@@ -128,25 +132,25 @@ class TestProjectL1Sphere:
                   [-np.inf, 0.0, 0.5], [1e308, -1e308, 0.0]):
             x = np.array(x)
             with np.errstate(over="ignore"), pytest.raises(ValueError):
-                project_l1_sphere(x)
+                project(x)
             with np.errstate(over="ignore"), pytest.raises(ValueError):
-                _project_l1_rows(np.vstack([np.ones(3), x]))
+                project(np.vstack([np.ones(3), x]))
 
     def test_rows_match_the_vector_projection(self):
         # rows inside the ball, on the sphere, outside it, and with tied
-        # magnitudes: every row bit for bit as project_l1_sphere alone
+        # magnitudes: every row bit for bit as the vector projection alone
         r = Rng(9)
         x = r.normal(12 * 7).reshape(12, 7)
         x[0] *= 1e-3 / np.abs(x[0]).sum()
         x[1] /= np.abs(x[1]).sum()
-        x[2] = project_l1_sphere(x[2])
+        x[2] = project(x[2])
         x[3] = [0.5, -0.5, 0.5, -0.5, 0.5, 0.0, 0.25]
         x[4] = [2.0, -2.0, 2.0, 1.0, -1.0, 1.0, 0.0]
         x[5] = [0.1, -0.1, 0.1, -0.1, 0.1, -0.1, 0.1]
         x[6:] *= 10.0 ** np.arange(-2, 4)[:, None]
-        y = _project_l1_rows(x)
+        y = project(x)
         for row, out in zip(x, y):
-            assert np.array_equal(out, project_l1_sphere(row))
+            assert np.array_equal(out, project(row))
 
 
 # Rows a few ulps outside the unit ball whose pairwise l1 norm exceeds 1
@@ -216,7 +220,7 @@ FROZEN_PROJECTION = (
 def projection_digest():
     h = hashlib.sha256()
     for x in projection_batches():
-        y = _project_l1_rows(x)
+        y = project(x)
         h.update(repr(y.shape).encode())
         h.update(y.tobytes())
     return h.hexdigest()
@@ -248,47 +252,67 @@ def admm_sized_vectors():
     return vectors
 
 
+def vector_family(family):
+    if family == "admm":
+        return admm_sized_vectors()
+    return [row for batch in projection_batches() for row in batch]
+
+
 @pytest.mark.parametrize("family", ["admm", "batches"])
 def test_project_vector_matches_its_single_row(family):
-    # project_l1_sphere runs the core on the 1-d array itself; the bytes,
-    # signed zeros included, must be those of the same vector as a 1-row batch
-    if family == "admm":
-        vectors = admm_sized_vectors()
-    else:
-        vectors = [row for batch in projection_batches() for row in batch]
-    for x in vectors:
-        assert project_l1_sphere(x).tobytes() == _project_l1_rows(x[None])[0].tobytes()
+    # a vector runs the core on the 1-d array itself; the bytes, signed
+    # zeros included, must be those of the same vector as a 1-row batch
+    for x in vector_family(family):
+        assert project(x).tobytes() == project(x[None])[0].tobytes()
 
 
 def stale_work(shape):
     """An _L1Work whose scratch holds NaN (and True in the mask), so that a
     read before a write shows in the output bytes."""
     work = _L1Work(shape)
-    for name in ("abs", "srt", "cumsum", "crit", "sign"):
+    for name in ("srt", "cumsum", "crit", "sign"):
         getattr(work, name).fill(np.nan)
     work.mask.fill(True)
     return work
 
 
 @pytest.mark.parametrize("family", ["admm", "batches"])
-def test_project_with_workspace_matches_the_allocating_call(family):
-    # the ADMM's prox writes every temporary into one workspace; the bytes,
-    # signed zeros included, must be those of the call without it, and x
-    # must come back untouched
-    if family == "admm":
-        vectors = admm_sized_vectors()
-    else:
-        vectors = [row for batch in projection_batches() for row in batch]
-    for x in vectors:
+def test_project_with_stale_workspace_matches_a_fresh_one(family):
+    # the ADMM's prox reuses one workspace across iterations; the bytes,
+    # signed zeros included, must be those of a fresh workspace, and x must
+    # come back untouched
+    for x in vector_family(family):
         before = x.tobytes()
         y = _project_l1_rows(x, stale_work(x.shape))
-        assert y.tobytes() == _project_l1_rows(x).tobytes()
+        assert y.tobytes() == project(x).tobytes()
         assert x.tobytes() == before
 
 
-def test_project_batches_with_workspace_match_the_allocating_call():
-    # a batch with every row outside the ball runs in the workspace, one
-    # that mixes rows inside and outside gathers them without it
+def test_project_batches_with_stale_workspace_match_a_fresh_one():
+    # every row outside the ball, every row inside, and mixed batches, whose
+    # inside rows are shrunk and then overwritten
     for x in projection_batches():
+        before = x.tobytes()
         y = _project_l1_rows(x, stale_work(x.shape))
-        assert y.tobytes() == _project_l1_rows(x).tobytes()
+        assert y.tobytes() == project(x).tobytes()
+        assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("family", ["admm", "batches"])
+def test_project_result_is_owned_by_the_caller(family):
+    # the multistart keeps X while it projects the next candidate on the
+    # same workspace: a second projection must leave the first result as it
+    # was, for vectors and for batches of one shape
+    if family == "admm":
+        pairs = [(x, -2.0 * x) for x in admm_sized_vectors()]
+    else:
+        batches = projection_batches()
+        pairs = [(x, z) for x, z in zip(batches, batches[1:]) if x.shape == z.shape]
+    assert len(pairs) >= 10
+    for x, z in pairs:
+        work = _L1Work(x.shape)
+        y = _project_l1_rows(x, work)
+        first = y.tobytes()
+        assert not np.shares_memory(y, x)
+        _project_l1_rows(z, work)
+        assert y.tobytes() == first
