@@ -27,7 +27,6 @@ from .decompose import (
     eigen_decomposer,
     greedy_peel,
     peel_step,
-    per_step_cost_identity_check,
     validate,
 )
 from .errors import (

@@ -17,7 +17,8 @@ the real value and is out of scope here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -196,8 +197,8 @@ _GEMM_ROWS = 8
 _GEMM_PAD = 32
 
 
-def rho1_multistart(T, restarts: int = 64, steps: int = 500,
-                    rng: Optional[Rng] = None) -> BoundReport:
+def rho1_multistart(T, restarts: int = 64, steps: int = 500, *,
+                    rng: Rng) -> BoundReport:
     """Heuristic lower bound on rho1 by multistart projected gradient ascent.
 
     Each restart ascends from a random l1-sphere point with gradient 2Tx and
@@ -226,8 +227,6 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500,
     X @ T, unpadded blocks of 16 to 64 rows and unpadded 8-row blocks each
     failed at some n.  All other reductions run along contiguous rows.
     """
-    if rng is None:
-        raise ValueError("rho1_multistart requires an rng")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if restarts < 1:
@@ -330,7 +329,12 @@ class WitnessCertificate:
     every W.  The point is a genuine witness (||A||_1 = 1 with A PSD) only
     when b >= 0 and lambda_min >= 0; b turns negative when c >= sqrt(n),
     where the trace identity still holds but the 1-norm normalization does
-    not.
+    not.  ``_w`` is the W the witness was built from, not a copy.
+
+    lambda_min = a + b lambda(W), with lambda(W) the smallest eigenvalue of
+    W when b >= 0 and the largest otherwise, is computed by one eigvalsh of
+    W on first read and then kept.  feasible reads it only when b >= 0, so
+    a witness that is never asked either runs no eigensolve.
     """
 
     n: int
@@ -339,15 +343,16 @@ class WitnessCertificate:
     b: float
     A: GramMatrix
     value: float
-    lambda_min: Optional[float]
+    _w: np.ndarray = field(repr=False)
+
+    @cached_property
+    def lambda_min(self) -> float:
+        lam = np.linalg.eigvalsh(self._w)
+        return self.a + (self.b * lam[0] if self.b >= 0.0 else self.b * lam[-1])
 
     @property
-    def feasible(self) -> Optional[bool]:
-        if self.b < 0.0:
-            return False
-        if self.lambda_min is None:
-            return None
-        return self.lambda_min >= 0.0
+    def feasible(self) -> bool:
+        return self.b >= 0.0 and bool(self.lambda_min >= 0.0)
 
 
 def witness_value_closed_form(n: int, c: float) -> float:
@@ -362,12 +367,13 @@ def _check_witness_c(c: float) -> None:
         raise ValueError(f"c must be finite and positive, got {c!r}")
 
 
-def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCertificate:
+def piplus_witness(W, c: float) -> WitnessCertificate:
     """Build the shifted-identity point A = a I + b W with a = c n^{-3/2}.
 
     b solves a n + b n(n-1) = 1, so for 0 < c < sqrt(n) both coefficients are
     positive and ||A||_1 = 1 exactly for a hollow +-1 matrix W; values
-    2 < c < 4 keep the witness PSD for large n.
+    2 < c < 4 keep the witness PSD for large n.  The certificate keeps W
+    and runs no eigensolve until its lambda_min is read (WitnessCertificate).
     """
     arr = as_matrix_array(W)
     n = arr.shape[0]
@@ -385,15 +391,11 @@ def piplus_witness(W, c: float, compute_lambda_min: bool = True) -> WitnessCerti
     A = a * np.eye(n) + b * arr
     T = shift_to_T(arr)
     value = float((T.entries * A).sum())
-    lam_min = None
-    if compute_lambda_min:
-        lam = np.linalg.eigvalsh(arr)
-        lam_min = a + (b * lam[0] if b >= 0.0 else b * lam[-1])
     return WitnessCertificate(
         n=n, c=c, a=a, b=b,
         A=GramMatrix._wrap(A),
         value=value,
-        lambda_min=lam_min,
+        _w=arr,
     )
 
 

@@ -198,10 +198,12 @@ def _check_exhausted(row: np.ndarray, d: float, tol: float, tr: float,
         raise SingularPivotError(index, d, row_norm)
 
 
-def peel_step(A, i: int,
-              check_psd: bool = True) -> Tuple[np.ndarray, GramMatrix]:
+def peel_step(A, i: int) -> Tuple[np.ndarray, GramMatrix]:
     """One peeling step: split off a_i a_i^T / A_ii.
 
+    A must be PSD; peel_step does not check it, since greedy_peel gates A
+    once (_require_psd) and every residual of a PSD A is PSD.  It checks
+    that A is square, symmetric and finite and that i indexes a row.
     Returns (x, A2) with x = a_i / sqrt(A_ii) and A2 = A - x x^T; row and
     column i of A2 are exactly zero.  With tol = default_pivot_tolerance(A),
     a pivot whose diagonal is at most tol is exhausted when its row
@@ -213,8 +215,6 @@ def peel_step(A, i: int,
     n = a.shape[0]
     if not 0 <= i < n:
         raise IndexError(f"pivot index {i} out of range for n={n}")
-    if check_psd:
-        _require_psd(a)
     tol = default_pivot_tolerance(a)
     d = float(a[i, i])
     if d <= tol:
@@ -227,22 +227,6 @@ def peel_step(A, i: int,
     a2[i, :] = 0.0  # exact in theory; clear the roundoff
     a2[:, i] = 0.0
     return row / np.sqrt(d), GramMatrix._wrap(a2)
-
-
-def per_step_cost_identity_check(A, i: int) -> float:
-    """Relative discrepancy of ||x||_1^2 vs (||a_i||_1^2/||a_i||_2^2) * (tr A - tr A2)."""
-    a = as_matrix_array(A)
-    x, A2 = peel_step(a, i, check_psd=False)
-    lhs = np.abs(x).sum() ** 2
-    row = a[i]
-    l1sq = np.abs(row).sum() ** 2
-    l2sq = float(row @ row)
-    if l2sq == 0.0:
-        return 0.0
-    trace_drop = float((np.diag(a) - np.diag(A2.entries)).sum())
-    rhs = (l1sq / l2sq) * trace_drop
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
 
 
 def _select_pivot(a: np.ndarray, rule: PivotRule,
@@ -275,8 +259,9 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
 
     An eigenvalue of A below -default_psd_tolerance(A) raises
     NotPositiveSemidefiniteError; a Cholesky factorization of the shifted
-    A certifies the rest without eigvalsh (_require_psd).  Each step is
-    one peel_step on the live block of the residual: the rows and columns
+    A certifies the rest without eigvalsh (_require_psd).  That is the only
+    PSD check: each step is one peel_step, which checks no PSD itself, on
+    the live block of the residual: the rows and columns
     not yet peeled, exhausted rows included, whose entries enter later
     steps.  The block drops its peeled rows once a quarter of its rows
     have been peeled since it last did, so a step validates and updates
@@ -333,7 +318,7 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
             j = None if i is None else int(np.searchsorted(live, i))
         if j is None:
             break
-        x, A2 = peel_step(a, j, check_psd=False)
+        x, A2 = peel_step(a, j)
         a = A2.entries
         k = len(pivots)
         vecs[k, live] = x

@@ -3,8 +3,9 @@
 Every suite runs its (n, count-per-n) grid through one expander, _run_grid,
 under one seed rule: cell i, counting through the ns in order, gets seed
 base_seed + i.  Cells run one after another, and their rows come out in
-grid order; each suite then adds its summary rows.  Only wall_time_ms
-varies between runs.
+grid order; each suite then adds its summary rows.  The per-n statistics
+of run_lemmas (Bai-Yin trials and restricted norms) are not cells: they
+draw from Rng(base_seed).child(n).  Only wall_time_ms varies between runs.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ def run_compare(ns: Sequence[int], trials: int, ensemble: str,
 
     Each trial draws make_ensemble(ensemble, n, seed); circulant uses
     eps = 1/(2n).  A trial is a win for peeling when the default rule's cost
-    is strictly below the eigendecomposition cost.
+    is strictly below the eigendecomposition cost.  The trial rows come
+    first, in grid order, then one peel_win_rate row per entry of ns over
+    that entry's trials alone, so a repeated n gets one row per block.
     """
     def run_cell(n, seed):
         A = make_ensemble(ensemble, n, seed)
@@ -135,12 +138,9 @@ def run_compare(ns: Sequence[int], trials: int, ensemble: str,
 
     blocks = _run_grid("compare", ns, trials, base_seed, run_cell)
     out = [row for _, rows, _ in blocks for row in rows]
-    wins = {n: [] for n in ns}
     for n, _, won in blocks:
-        wins[n] += won
-    for n in ns:
         out.append(ExperimentRow("compare", n, base_seed, "peel_win_rate",
-                                 sum(wins[n]) / len(wins[n]),
+                                 sum(won) / len(won),
                                  f"peel({DEFAULT_RULE.label()})", "exact", 0))
     return out
 
@@ -284,14 +284,3 @@ def run_lemmas(ns: Sequence[int], trials: int, base_seed: int,
                              8.0 / 3.0, "closed_form", "exact", 0))
     return out
 
-
-__all__ = [
-    "CSV_FIELDS",
-    "ExperimentRow",
-    "fit_loglog_exponent",
-    "rows_to_csv_text",
-    "run_compare",
-    "run_lemmas",
-    "run_scaling",
-    "write_rows",
-]

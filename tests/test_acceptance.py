@@ -1,5 +1,8 @@
 """Acceptance suite: twelve criteria, one test and one printed verdict each.
 
+Criterion 04's per-step identity also has a few worked examples, which
+print no verdict.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines;
 each test also asserts, so a plain pytest run enforces them all.
 """
@@ -19,7 +22,6 @@ from l1gram import (
     greedy_peel,
     max_restricted_norm,
     peel_step,
-    per_step_cost_identity_check,
     piplus_dual_upper,
     piplus_rank1_lower,
     piplus_witness,
@@ -109,6 +111,19 @@ def test_criterion_03_rank_one_exactness():
             f"{worst:.2e} relative (<= 1e-9) over 200 draws")
 
 
+def _cost_identity_discrepancy(a, i, x, a2):
+    """Relative discrepancy of ||x||_1^2 against (||a_i||_1^2 / ||a_i||_2^2)
+    (tr A - tr A2) for (x, A2) = peel_step(A, i); 0 for a zero row."""
+    lhs = np.abs(x).sum() ** 2
+    row = a[i]
+    l1sq = np.abs(row).sum() ** 2
+    l2sq = float(row @ row)
+    if l2sq == 0.0:
+        return 0.0
+    rhs = (l1sq / l2sq) * float((np.diag(a) - np.diag(a2)).sum())
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
 def test_criterion_04_per_step_identities(wishart_runs):
     runs, _ = wishart_runs
     worst_step = 0.0
@@ -117,9 +132,10 @@ def test_criterion_04_per_step_identities(wishart_runs):
         a = A.entries
         removed = 0.0
         for i in dec.pivots:
-            worst_step = max(worst_step, per_step_cost_identity_check(a, i))
+            x, A2 = peel_step(a, i)
+            worst_step = max(worst_step,
+                             _cost_identity_discrepancy(a, i, x, A2.entries))
             removed += float(a[i] @ a[i]) / a[i, i]
-            _, A2 = peel_step(a, i, check_psd=False)
             a = A2.entries
         tele = abs(removed - (trace(A) - dec.residual_trace)) / max(1.0, trace(A))
         worst_tele = max(worst_tele, tele)
@@ -127,6 +143,18 @@ def test_criterion_04_per_step_identities(wishart_runs):
     verdict(4, ok,
             f"per-step cost identity worst {worst_step:.2e} and trace "
             f"telescoping worst {worst_tele:.2e} (both <= 1e-9) over all steps")
+
+
+@pytest.mark.parametrize("A, pivots, bound", [
+    (GramMatrix(np.ones((3, 3))), [0], 0.0),
+    (GramMatrix(np.diag([1.0, 2.0])), [1], 1e-12),
+    (sample_wishart(5, Rng(31)), range(5), 1e-10),
+], ids=["all_ones", "diagonal", "random_wishart"])
+def test_criterion_04_identity_examples(A, pivots, bound):
+    a = A.entries
+    for i in pivots:
+        x, A2 = peel_step(a, i)
+        assert _cost_identity_discrepancy(a, i, x, A2.entries) <= bound
 
 
 def test_criterion_05_rho1_oracle_agreement():
@@ -205,7 +233,7 @@ def test_criterion_07_witness_trace_arithmetic():
     for n in range(2, 501):
         W = sample_W(n, Rng(BASE_SEED + 70_000 + n))
         for c in (2.5, 3.0, 3.5):
-            wit = piplus_witness(W, c, compute_lambda_min=False)
+            wit = piplus_witness(W, c)
             closed = witness_value_closed_form(n, c)
             worst = max(worst, abs(wit.value - closed) / max(1.0, abs(closed)))
     big = witness_value_closed_form(10_000, 3.0)

@@ -486,7 +486,7 @@ class TestRho1Multistart:
         assert digests[0] == digests[1] == digests[2]
 
     def test_requires_rng(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             rho1_multistart(GramMatrix(np.eye(2)))
 
     def test_negative_steps_rejected(self):
@@ -529,19 +529,50 @@ class TestPiplusWitness:
         for t, n in enumerate((2, 3, 7, 20, 51, 140, 333, 500)):
             W = sample_W(n, Rng(60 + t))
             for c in (0.5, min(1.3, 0.9 * math.sqrt(n))):
-                wit = piplus_witness(W, c, compute_lambda_min=False)
+                wit = piplus_witness(W, c)
                 closed = witness_value_closed_form(n, c)
                 assert abs(wit.value - closed) <= 1e-9 * max(1.0, abs(closed))
 
     def test_unit_entrywise_norm(self):
         for n in (2, 5, 40):
-            wit = piplus_witness(sample_W(n, Rng(n)), 1.0, compute_lambda_min=False)
+            wit = piplus_witness(sample_W(n, Rng(n)), 1.0)
             assert entrywise_one_norm(wit.A) == pytest.approx(1.0, rel=1e-12)
 
     def test_lambda_min_matches_direct_eigensolve(self):
         W = sample_W(30, Rng(17))
         wit = piplus_witness(W, 2.5)
         assert wit.lambda_min == pytest.approx(min_eigenvalue(wit.A), abs=1e-10)
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or eigvalsh(a))
+        return calls
+
+    @pytest.mark.parametrize("first", ["lambda_min", "feasible"])
+    def test_lambda_min_is_computed_once_on_first_read(self, first,
+                                                       eigvalsh_calls):
+        W = sample_W(30, Rng(17))
+        wit = piplus_witness(W, 2.5)
+        assert wit.b >= 0.0 and eigvalsh_calls == []
+        getattr(wit, first)
+        assert eigvalsh_calls == [(30, 30)]
+        reads = [(wit.lambda_min, wit.feasible) for _ in range(3)]
+        assert len(eigvalsh_calls) == 1
+        lam_min = wit.a + wit.b * np.linalg.eigvalsh(W.entries)[0]
+        assert reads == [(lam_min, True)] * 3
+        assert wit._w is W.entries  # the W it was built from, not a copy
+
+    def test_negative_b_is_infeasible_without_an_eigensolve(self, eigvalsh_calls):
+        W = sample_W(4, Rng(1))
+        wit = piplus_witness(W, 2.5)  # c >= sqrt(n): b < 0
+        assert wit.b < 0.0
+        assert wit.feasible is False
+        assert eigvalsh_calls == []
+        # lambda_min is still a + b lambda_max(W), on request
+        assert wit.lambda_min == wit.a + wit.b * np.linalg.eigvalsh(W.entries)[-1]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -482,6 +482,20 @@ def test_row_keys_unique_within_each_run():
         assert len(keys) == len(set(keys))
 
 
+def test_compare_summarises_each_block():
+    # a repeated n gets one peel_win_rate row per block, over that block's
+    # trials; at base seed 2 the blocks' rates are 0 and 1/3
+    def win_rates(rows):
+        return [(r.n, r.value, r.method) for r in rows
+                if r.quantity == "peel_win_rate"]
+
+    first = run_compare([5], 3, "diagonal", 2)
+    second = run_compare([5], 3, "diagonal", 5)
+    assert win_rates(first) != win_rates(second)
+    both = run_compare([5, 5], 3, "diagonal", 2)
+    assert win_rates(both) == win_rates(first) + win_rates(second)
+
+
 def test_fit_loglog_exponent_basics():
     assert fit_loglog_exponent([10, 1000], [1.0, 10.0]) == pytest.approx(0.5)
     assert np.isnan(fit_loglog_exponent([10, 10], [1.0, 2.0]))

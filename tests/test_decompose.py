@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from l1gram import (
+    AsymmetricMatrixError,
     GramMatrix,
     NotPositiveSemidefiniteError,
     PivotRule,
@@ -14,7 +15,6 @@ from l1gram import (
     greedy_peel,
     min_eigenvalue,
     peel_step,
-    per_step_cost_identity_check,
     sample_wishart,
     trace,
     validate,
@@ -113,13 +113,23 @@ class TestPeelStep:
 
     def test_singular_pivot_raises(self):
         with pytest.raises(SingularPivotError):
-            peel_step(np.array([[0.0, 1.0], [1.0, 0.0]]), 0, check_psd=False)
+            peel_step(np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
 
     def test_exhausted_pivot_is_noop(self):
         A = GramMatrix(np.diag([0.0, 1.0]))
-        x, A2 = peel_step(A, 0, check_psd=False)
+        x, A2 = peel_step(A, 0)
         assert np.array_equal(x, np.zeros(2))
         assert np.array_equal(A2.entries, A.entries)
+
+    def test_input_checks_kept(self):
+        with pytest.raises(AsymmetricMatrixError):
+            peel_step(np.array([[1.0, 0.5], [0.0, 1.0]]), 0)
+        with pytest.raises(ValueError):
+            peel_step(np.array([[1.0, np.nan], [np.nan, 1.0]]), 0)
+        with pytest.raises(ValueError):
+            peel_step(np.ones((2, 3)), 0)
+        with pytest.raises(IndexError):
+            peel_step(ONES3, 3)
 
     def test_exhausted_row_within_psd_bound_is_noop(self):
         # r r^T with r_0^2 = 1e-14 below the pivot tolerance: row 0 has norm
@@ -170,7 +180,7 @@ class TestGreedyPeel:
             a = A.entries
             removed = 0.0
             for i in dec.pivots:
-                x, A2 = peel_step(a, i, check_psd=False)
+                x, A2 = peel_step(a, i)
                 removed += float(a[i] @ a[i]) / a[i, i]
                 a = A2.entries
                 assert min_eigenvalue(A2) >= -1e-8 * trace(A)
@@ -261,8 +271,9 @@ GATE_CASES = [(n, f) for n in (6, 60) for f in (0.4, 0.6, 0.99, 1.01, 1.5)]
 
 
 class TestPsdGate:
-    """The Cholesky gate accepts only what the eigvalsh rule accepts, and
-    eigvalsh runs only where the gate fails."""
+    """greedy_peel's Cholesky gate accepts only what the eigvalsh rule
+    accepts, and eigvalsh runs only where the gate fails.  peel_step runs
+    no gate: its callers have gated A, so it decides nothing."""
 
     @pytest.mark.parametrize("n, f", GATE_CASES)
     def test_inputs_lie_on_the_intended_sides(self, n, f):
@@ -279,18 +290,26 @@ class TestPsdGate:
         A = _near_boundary(n, f, 70 + n)
         tol = default_psd_tolerance(A.entries)
         lam_min = float(np.linalg.eigvalsh(A.entries)[0])
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a: calls.append(a.shape) or eigvalsh(a))
-        if lam_min < -tol:
-            with pytest.raises(NotPositiveSemidefiniteError) as exc:
+        calls = {"cholesky": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(a, real=real, name=name):
+                calls[name] += 1
+                return real(a)
+            monkeypatch.setattr(np.linalg, name, counted)
+        if peel is greedy_peel:
+            if lam_min < -tol:
+                with pytest.raises(NotPositiveSemidefiniteError) as exc:
+                    peel(A)
+                assert exc.value.lambda_min == lam_min
+                assert exc.value.tolerance == tol
+            else:
                 peel(A)
-            assert exc.value.lambda_min == lam_min
-            assert exc.value.tolerance == tol
+            assert calls == {"cholesky": 1, "eigvalsh": 0 if f < 0.5 else 1}
         else:
-            peel(A)
-        assert len(calls) == (0 if f < 0.5 else 1)
+            peel(A)  # indefinite cases included: no gate, no raise
+            assert calls == {"cholesky": 0, "eigvalsh": 0}
 
 
 def _gathered_pivot(a, rule, active):
@@ -509,25 +528,11 @@ class TestFrozenOutputs:
         a = sample_wishart(40, Rng(11))
         chunks = []
         for i in (3, 17, 0, 39, 22):
-            x, a = peel_step(a, i, check_psd=False)
+            x, a = peel_step(a, i)
             chunks.append(x.tobytes())
         chunks.append(a.entries.tobytes())
         assert _digest(*chunks) == (
             "15e27e7f5092b54879db1eaeb3213d1ce1a7e51f293a91994200ccdc51d7dbbf")
-
-
-class TestCostIdentity:
-    def test_all_ones(self):
-        assert per_step_cost_identity_check(ONES3, 0) == 0.0
-
-    def test_diagonal(self):
-        disc = per_step_cost_identity_check(GramMatrix(np.diag([1.0, 2.0])), 1)
-        assert disc <= 1e-12
-
-    def test_random_wishart(self):
-        A = sample_wishart(5, Rng(31))
-        for i in range(5):
-            assert per_step_cost_identity_check(A, i) <= 1e-10
 
 
 class TestValidate:
