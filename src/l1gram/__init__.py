@@ -36,14 +36,7 @@ from .errors import (
     ParseError,
     SingularPivotError,
 )
-from .linalg import (
-    GramMatrix,
-    entrywise_one_norm,
-    max_eigenvalue,
-    min_eigenvalue,
-    operator_norm,
-    trace,
-)
+from .linalg import GramMatrix, operator_norm
 from .matio import load_matrix, save_decomposition, save_matrix
 from .randcert import (
     BaiYinSummary,

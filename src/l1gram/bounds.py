@@ -28,7 +28,6 @@ from .linalg import (
     _L1Work,
     _project_l1_rows,
     as_matrix_array,
-    max_eigenvalue,
     operator_norm,
 )
 from .randcert import _STACK_CAP, estimate_kappa_for, sample_W, shift_to_T
@@ -389,7 +388,7 @@ def piplus_witness(W, c: float) -> WitnessCertificate:
     a = c * n ** (-1.5)
     b = (1.0 - a * n) / (n * (n - 1.0))
     A = a * np.eye(n) + b * arr
-    T = shift_to_T(arr)
+    T = shift_to_T(W)
     value = float((T.entries * A).sum())
     return WitnessCertificate(
         n=n, c=c, a=a, b=b,
@@ -531,7 +530,7 @@ def piplus_dual_upper(T, iter_cap: int = 60000) -> BoundReport:
     if iter_cap < 1:
         raise ValueError(f"iter_cap must be >= 1, got {iter_cap!r}")
     arr = as_matrix_array(T)
-    lam_max = max_eigenvalue(arr)
+    lam_max = float(np.linalg.eigvalsh(arr)[-1])
     if lam_max <= 0.0:
         return BoundReport(
             quantity="piplus", lower=0.0, upper=0.0, method="dual_ap",

@@ -36,7 +36,6 @@ from .decompose import (PIVOT_RULE_KINDS, PivotRule, eigen_decomposer,
                         greedy_peel, validate)
 from .errors import L1GramError, SingularPivotError
 from .experiments import run_compare, run_lemmas, run_scaling, write_rows
-from .linalg import entrywise_one_norm, trace
 from .matio import load_matrix, report_to_dict, save_decomposition
 from .rng import Rng
 
@@ -118,8 +117,8 @@ def _cmd_decompose(args) -> int:
             rule = PivotRule(args.pivot)
         dec = greedy_peel(A, rule)
     report = validate(dec, A)
-    n_tr = A.n * trace(A)
-    one_norm = entrywise_one_norm(A)
+    n_tr = A.n * float(np.trace(A.entries))
+    one_norm = float(np.abs(A.entries).sum())
     print(f"n               {A.n}")
     print(f"vectors         {dec.k}")
     print(f"total_cost      {dec.total_cost:.17g}")

@@ -231,9 +231,12 @@ def run_lemmas(ns: Sequence[int], trials: int, base_seed: int,
     its failure probability bound.  The per-n draws come from disjoint
     children of Rng(base_seed).child(n): the Bai-Yin trials from child 0,
     the restricted-norm W from child 1 and its size-k subsets from child
-    2's child k.
+    2's child k.  A repeated n would only repeat its rows under the same
+    key, so it raises ValueError before any cell runs.
     """
     _check_witness_c(c)
+    if len(set(ns)) < len(ns):
+        raise ValueError(f"lemmas needs distinct n, got {list(ns)}")
 
     def run_cell(n, seed):
         if n < 2:

@@ -1,10 +1,13 @@
-"""Dense symmetric matrices: eigenvalues, norms, l1 projections.
+"""Dense symmetric matrices: validation, the spectral norm, l1 projections.
 
-All matrices are real symmetric, stored dense in float64; vectors are plain
-1-d float64 arrays.  ``GramMatrix`` enforces symmetry at construction, and
-``GramMatrix._wrap`` makes the array it is given read-only, and
-``_project_l1_rows`` writes its scratch into the ``_L1Work`` it is given;
-every other operation here is a pure function.
+The module holds ``GramMatrix``, the one place a matrix is checked to be
+square, finite and symmetric; ``as_matrix_array``, which hands on a
+GramMatrix's array or validates a raw one; ``operator_norm``; and the
+l1-sphere projection ``_project_l1_rows``.  Matrices are real symmetric,
+dense float64; vectors are 1-d float64 arrays.  ``GramMatrix._wrap`` makes
+the array it is given read-only, and ``_project_l1_rows`` writes its
+scratch into the ``_L1Work`` it is given; every other operation here is a
+pure function.
 """
 
 from __future__ import annotations
@@ -75,30 +78,9 @@ def as_matrix_array(A) -> np.ndarray:
     return GramMatrix(A).entries
 
 
-def entrywise_one_norm(A) -> float:
-    """Sum of absolute values of all entries."""
-    return float(np.abs(as_matrix_array(A)).sum())
-
-
-def trace(A) -> float:
-    return float(np.trace(as_matrix_array(A)))
-
-
-def _eigvals(A) -> np.ndarray:
-    return np.linalg.eigvalsh(as_matrix_array(A))
-
-
-def min_eigenvalue(A) -> float:
-    return float(_eigvals(A)[0])
-
-
-def max_eigenvalue(A) -> float:
-    return float(_eigvals(A)[-1])
-
-
 def operator_norm(A) -> float:
     """Spectral norm: max |lambda| over the eigenvalues."""
-    lam = _eigvals(A)
+    lam = np.linalg.eigvalsh(as_matrix_array(A))
     return float(max(abs(lam[0]), abs(lam[-1])))
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import GramMatrix, as_matrix_array, max_eigenvalue
+from .linalg import GramMatrix, as_matrix_array
 from .rng import Rng
 
 EXHAUSTIVE_SUBSET_CAP = 10**6
@@ -106,7 +106,7 @@ def bai_yin_stat(n: int, trials: int, rng: Rng) -> BaiYinSummary:
     root = math.sqrt(n)
     for t in range(trials):
         w = sample_W(n, rng.child(t))
-        vals[t] = max_eigenvalue(w) / root
+        vals[t] = np.linalg.eigvalsh(w.entries)[-1] / root
     return BaiYinSummary(
         n=n, trials=trials,
         mean=float(vals.mean()), min=float(vals.min()), max=float(vals.max()),
@@ -203,10 +203,13 @@ class KappaEstimate:
 def estimate_kappa_for(W, beta: float, rng: Rng) -> KappaEstimate:
     """Find the largest k with max-restricted-norm(k) <= beta * sqrt(n).
 
-    Gallops k upward from 1 (size 1 always qualifies on a hollow diagonal)
-    and then bisects the bracket; the restricted norm is monotone in k so the
-    qualifying set is a prefix.  Sizes beyond the exhaustive cap are scanned
-    with KAPPA_SAMPLES Monte Carlo subsets.
+    Scans k = 2, 3, ... upward, stops at the first size whose restricted
+    norm exceeds beta * sqrt(n) and reports the last size that passed, or
+    k = 1 (always within the target on a hollow diagonal) when none does.
+    That is the largest passing size whenever the passing sizes form a
+    prefix, as they do for exact norms, which are monotone in k.  Size k
+    is scanned with max_restricted_norm(W, k, "auto") on rng.child(k),
+    with KAPPA_SAMPLES Monte Carlo subsets beyond the exhaustive cap.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -216,33 +219,21 @@ def estimate_kappa_for(W, beta: float, rng: Rng) -> KappaEstimate:
         raise ValueError("expected a hollow (zero-diagonal) matrix")
     target = beta * math.sqrt(n)
 
-    cache = {}
-
     def norm_at(k):
-        if k not in cache:
-            cache[k] = max_restricted_norm(W, k, mode="auto", samples=KAPPA_SAMPLES,
-                                           rng=rng.child(k))
-        return cache[k]
+        return max_restricted_norm(W, k, mode="auto", samples=KAPPA_SAMPLES,
+                                   rng=rng.child(k))
 
-    lo, hi = 1, None
-    while hi is None:
-        nxt = min(2 * lo, n)
-        if nxt == lo:
-            hi = lo  # reached n with every size qualifying
-        elif norm_at(nxt).value <= target:
-            lo = nxt
-        else:
-            hi = nxt
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if norm_at(mid).value <= target:
-            lo = mid
-        else:
-            hi = mid
-    est = norm_at(lo)
+    k, est = 1, None
+    for size in range(2, n + 1):
+        nxt = norm_at(size)
+        if nxt.value > target:
+            break
+        k, est = size, nxt
+    if est is None:
+        est = norm_at(1)
     return KappaEstimate(
-        alpha=lo / n,
-        k=lo,
+        alpha=k / n,
+        k=k,
         restricted_norm=est.value,
         restricted_exhaustive=est.mode == "exhaustive",
     )

@@ -30,7 +30,6 @@ from l1gram import (
     rho1_multistart,
     sample_W,
     sample_wishart,
-    trace,
     witness_value_closed_form,
 )
 from l1gram.experiments import run_compare, run_scaling, rows_to_csv_text
@@ -68,7 +67,7 @@ def wishart_runs():
 def test_criterion_01_peel_cost_bound(wishart_runs):
     runs, elapsed = wishart_runs
     violations = sum(
-        1 for n, A, dec in runs if dec.total_cost > n * trace(A) * (1 + 1e-8)
+        1 for n, A, dec in runs if dec.total_cost > n * np.trace(A.entries) * (1 + 1e-8)
     )
     ok = violations == 0 and elapsed < 60.0
     verdict(1, ok,
@@ -137,7 +136,8 @@ def test_criterion_04_per_step_identities(wishart_runs):
                              _cost_identity_discrepancy(a, i, x, A2.entries))
             removed += float(a[i] @ a[i]) / a[i, i]
             a = A2.entries
-        tele = abs(removed - (trace(A) - dec.residual_trace)) / max(1.0, trace(A))
+        tr = np.trace(A.entries)
+        tele = abs(removed - (tr - dec.residual_trace)) / max(1.0, tr)
         worst_tele = max(worst_tele, tele)
     ok = worst_step <= 1e-9 and worst_tele <= 1e-9
     verdict(4, ok,

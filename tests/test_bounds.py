@@ -16,9 +16,6 @@ from l1gram import (
     Rng,
     build_T,
     certify_ratio,
-    entrywise_one_norm,
-    max_eigenvalue,
-    min_eigenvalue,
     operator_norm,
     piplus_dual_upper,
     piplus_rank1_lower,
@@ -504,7 +501,7 @@ class TestPiplusRank1Lower:
     def test_offdiagonal(self):
         rep = piplus_rank1_lower(OFFDIAG, rho1_exact(OFFDIAG))
         assert rep.lower == pytest.approx(0.5, abs=1e-12)
-        assert entrywise_one_norm(rep.witness) == pytest.approx(1.0, rel=1e-12)
+        assert np.abs(rep.witness.entries).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_negative_definite_gives_zero(self):
         T = GramMatrix(-2.0 * np.eye(3))
@@ -536,12 +533,13 @@ class TestPiplusWitness:
     def test_unit_entrywise_norm(self):
         for n in (2, 5, 40):
             wit = piplus_witness(sample_W(n, Rng(n)), 1.0)
-            assert entrywise_one_norm(wit.A) == pytest.approx(1.0, rel=1e-12)
+            assert np.abs(wit.A.entries).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_lambda_min_matches_direct_eigensolve(self):
         W = sample_W(30, Rng(17))
         wit = piplus_witness(W, 2.5)
-        assert wit.lambda_min == pytest.approx(min_eigenvalue(wit.A), abs=1e-10)
+        lam_min = np.linalg.eigvalsh(wit.A.entries)[0]
+        assert wit.lambda_min == pytest.approx(lam_min, abs=1e-10)
 
     @pytest.fixture
     def eigvalsh_calls(self, monkeypatch):
@@ -615,7 +613,7 @@ class TestPiplusDualUpper:
         for t in range(8):
             A = random_symmetric(6, 90 + t)
             rep = piplus_dual_upper(A)
-            assert rep.upper <= max(0.0, max_eigenvalue(A)) + 1e-8
+            assert rep.upper <= max(0.0, np.linalg.eigvalsh(A.entries)[-1]) + 1e-8
 
     def test_witness_is_dual_feasible(self):
         # the delta shift makes the computed lambda_min(Y - T) nonnegative,
@@ -624,7 +622,7 @@ class TestPiplusDualUpper:
                 build_T(n, Rng(20 + n)) for n in (6, 9, 12)] + [sample_W(7, Rng(5))]:
             rep = piplus_dual_upper(A)
             y = rep.witness.entries
-            assert min_eigenvalue(GramMatrix(y - A.entries)) >= 0.0
+            assert np.linalg.eigvalsh(y - A.entries)[0] >= 0.0
             assert np.abs(y).max() == rep.upper
 
     def test_bracket_closes_on_build_T_30(self):
@@ -640,14 +638,15 @@ class TestPiplusDualUpper:
             rep = piplus_dual_upper(A)
             assert rep.method == "dual_ap"
             assert rep.lower <= rep.upper
-            assert rep.upper <= rep.lower + tol * max(1.0, max_eigenvalue(A))
+            lam_max = np.linalg.eigvalsh(A.entries)[-1]
+            assert rep.upper <= rep.lower + tol * max(1.0, lam_max)
 
     def test_lower_witness_is_feasible(self):
         for A in (random_symmetric(6, 44), build_T(10, Rng(8)), sample_W(6, Rng(9))):
             t = A.entries
             lower, a, upper, _, converged = _piplus_admm(t, 1e-8, 60000)
             assert converged
-            assert min_eigenvalue(GramMatrix(a)) >= -1e-12
+            assert np.linalg.eigvalsh(a)[0] >= -1e-12
             assert np.abs(a).sum() == pytest.approx(1.0, abs=1e-12)
             assert float((t * a).sum()) == lower
             assert 0.0 < lower <= upper
@@ -666,7 +665,7 @@ class TestPiplusDualUpper:
         assert rep.method == "dual_ap(inconclusive)"
         assert rep.upper >= rho1_exact(T).upper
         assert rep.lower <= rep.upper
-        assert min_eigenvalue(GramMatrix(rep.witness.entries - T.entries)) >= 0.0
+        assert np.linalg.eigvalsh(rep.witness.entries - T.entries)[0] >= 0.0
 
     # The ids are the ones these cases had when four `tol` cases came first.
     @pytest.mark.parametrize("kwargs", [{"iter_cap": 0}, {"iter_cap": -5}],
@@ -782,7 +781,8 @@ class TestPiplusDualRelaxed:
         lower, upper = UNRELAXED_DUAL_BRACKETS[key]
         assert rep.lower <= upper and lower <= rep.upper
         if rep.method == "dual_ap":
-            assert rep.upper - rep.lower <= 1e-8 * max(1.0, max_eigenvalue(T))
+            lam_max = np.linalg.eigvalsh(T.entries)[-1]
+            assert rep.upper - rep.lower <= 1e-8 * max(1.0, lam_max)
 
     # eigh runs once per iteration and once per 10-iteration check, so k
     # iterations cost 1.1 k calls.  The unrelaxed ADMM made 1463 calls on the
@@ -821,6 +821,21 @@ def test_dual_runs_back_to_back_leave_each_other_alone():
         seen.append(dual_report_bytes(reports[-1]))
         assert hashlib.sha256(b"".join(seen[-1])).hexdigest() == FROZEN_DUAL[key], key
     assert [dual_report_bytes(rep) for rep in reports] == seen
+
+
+@pytest.mark.parametrize("solve, matrix", [
+    (piplus_dual_upper, lambda: build_T(8, Rng(11))),
+    (lambda W: piplus_witness(W, 2.5), lambda: sample_W(8, Rng(7))),
+], ids=["dual", "witness"])
+def test_validated_input_is_not_validated_again(solve, matrix, monkeypatch):
+    # a GramMatrix is square, finite and symmetric already: neither the dual
+    # nor the witness (through shift_to_T) may build another one
+    M, inits = matrix(), []
+    init = GramMatrix.__init__
+    monkeypatch.setattr(GramMatrix, "__init__",
+                        lambda self, entries: inits.append(1) or init(self, entries))
+    solve(M)
+    assert inits == []
 
 
 def test_hollow_ratio_at_most_two():

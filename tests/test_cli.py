@@ -324,6 +324,14 @@ def test_grid_counts_below_one_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lemmas_repeated_n_exits_2(capsys):
+    # each n's Bai-Yin and restricted-norm rows draw from Rng(seed).child(n),
+    # so a repeated n could only print the same rows twice under one key
+    assert main(["lemmas", "--n", "12,12", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 @pytest.mark.parametrize("c", ["nan", "inf", "-3"])
 @pytest.mark.parametrize("argv", [
     ["scaling", "--n", "4", "--seeds", "1", "--mode", "exact"],

@@ -3,18 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from l1gram import (
-    AsymmetricMatrixError,
-    GramMatrix,
-    Rng,
-    entrywise_one_norm,
-    min_eigenvalue,
-    operator_norm,
-    trace,
-)
+from l1gram import AsymmetricMatrixError, GramMatrix, Rng, operator_norm
 from l1gram.linalg import _L1Work, _project_l1_rows
-
-ONES3 = GramMatrix(np.ones((3, 3)))
 
 
 def project(x):
@@ -57,24 +47,6 @@ class TestGramMatrix:
         g = GramMatrix(np.eye(3))
         with pytest.raises(ValueError):
             g.entries[0, 0] = 5.0
-
-
-def test_entrywise_one_norm_examples():
-    assert entrywise_one_norm(GramMatrix(np.eye(2))) == 2.0
-    assert entrywise_one_norm(GramMatrix([[1.0, -2.0], [-2.0, 5.0]])) == 10.0
-    assert entrywise_one_norm(ONES3) == 9.0
-
-
-def test_trace_examples():
-    assert trace(GramMatrix(np.eye(3))) == 3.0
-    assert trace(ONES3) == 3.0
-    assert trace(GramMatrix(np.diag([1.0, 2.0, 4.0]))) == 7.0
-
-
-def test_min_eigenvalue_examples():
-    assert min_eigenvalue(GramMatrix(np.eye(2))) == 1.0
-    assert min_eigenvalue(GramMatrix([[0.0, 1.0], [1.0, 0.0]])) == -1.0
-    assert abs(min_eigenvalue(ONES3)) <= 1e-12
 
 
 def test_operator_norm_examples():
