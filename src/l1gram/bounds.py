@@ -10,6 +10,12 @@ certified dual upper bound, plus the ratio piplus/rho1 that lower-bounds the
 worst-case decomposition-cost constant.  Since the l1 ball contains 0, both
 quantities are reported with a floor at 0.
 
+The multistart ascent on rho1 and the dual's prox on piplus (by Moreau, an
+l1-ball projection) share one kernel: the sort-and-threshold projection of
+the rows of an array, ``_shrink_rows`` (Duchi et al., ICML 2008), which
+``_project_l1_rows`` completes to the l1 sphere.  It writes its scratch
+into the ``_L1Work`` it is given.
+
 Everything is real-valued; rho1 over complex vectors can in principle exceed
 the real value and is out of scope here.
 """
@@ -23,13 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import (
-    GramMatrix,
-    _L1Work,
-    _project_l1_rows,
-    as_matrix_array,
-    operator_norm,
-)
+from .linalg import GramMatrix, as_matrix_array, operator_norm
 from .randcert import _STACK_CAP, estimate_kappa_for, sample_W, shift_to_T
 from .rng import Rng
 
@@ -187,6 +187,79 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
         certificate="exact",
         witness=best_x,
     )
+
+
+class _L1Work:
+    """Scratch for _project_l1_rows and _shrink_rows on an (m, n) x of one
+    shape: the sorted magnitudes, their cumulative sums, the criterion, its
+    mask and sign(x), and the 1..n ramp.  The result is never built here, so
+    a caller may keep it while it projects again on the same workspace."""
+
+    __slots__ = ("srt", "cumsum", "crit", "mask", "sign", "ramp")
+
+    def __init__(self, shape):
+        self.srt, self.cumsum, self.crit, self.sign = (np.empty(shape) for _ in range(4))
+        self.mask = np.empty(shape, dtype=bool)
+        self.ramp = np.arange(1.0, shape[-1] + 1.0)
+
+
+def _project_l1_rows(x: np.ndarray, work: _L1Work) -> np.ndarray:
+    """Project every row of the (m, n) array x onto the unit l1 sphere
+    {y : ||y||_1 = 1}.
+
+    Rows outside the unit l1 ball get the Euclidean ball projection
+    (sort-and-threshold on |x| with signs restored; Duchi et al., ICML
+    2008), which lands on the sphere; rows inside are rescaled to unit l1
+    norm.  A zero or non-finite row raises ValueError.
+
+    work is an _L1Work of x's shape; the result is a new array, the
+    caller's.  Every reduction runs along the contiguous rows, so each row
+    of a C-contiguous x comes out bit for bit as it would alone.  The batch
+    is shrunk whole, and its rows inside the ball are overwritten.
+    """
+    a = np.abs(x)
+    norm1 = np.add.reduce(a, -1)
+    if (np.isfinite(norm1) & (norm1 != 0.0)).all():
+        y = _shrink_rows(x, a, work)
+        inside = norm1 <= 1.0
+        if inside.any():  # rare in the ascent
+            np.divide(x, norm1[:, None], out=y, where=inside[:, None])
+        return y
+    raise ValueError("cannot project the zero (or non-finite) vector")
+
+
+def _shrink_rows(x: np.ndarray, a: np.ndarray, work: _L1Work) -> np.ndarray:
+    """The l1-ball projection of every row of the (m, n) array x, a = |x|,
+    with every temporary in work, an _L1Work of x's shape.
+
+    The result is built in a's buffer, which the caller gives up.  Only a
+    row outside the ball comes out projected: one inside is shrunk too,
+    with a threshold of at most 0 and a result of no use.  So a caller
+    hands over only outside rows (the dual's prox) or overwrites the
+    inside ones (_project_l1_rows).
+    """
+    n, srt = x.shape[-1], work.srt
+    np.copyto(srt, a)
+    srt.sort()
+    u = srt[..., ::-1]
+    # ufunc methods in place of the cumsum and sum wrappers, about 1 us each
+    cumsum = np.add.accumulate(u, -1, out=work.cumsum)
+    cumsum -= 1.0
+    # the last index where u_k k > cumsum_k - 1 (always true at k = 1)
+    rho = n - 1 - np.greater(
+        np.multiply(u, work.ramp, out=work.crit), cumsum, out=work.mask)[..., ::-1].argmax(-1)
+    # cumsum at rho in each row
+    theta = (cumsum[np.arange(rho.size), rho] / (rho + 1.0))[:, None]
+    np.subtract(a, theta, out=a)
+    np.maximum(a, 0.0, out=a)
+    # s comes after the sign multiply: a row can end with a negative theta
+    # (its pairwise norm above 1, its sorted cumulative sum not), and then
+    # a zero entry holds -theta until its sign of 0 clears it
+    a *= np.sign(x, out=work.sign)
+    s = np.add.reduce(np.abs(a, out=srt), -1)
+    # kills the last ulp of threshold roundoff; a row with s = 1 keeps its bits
+    a /= s[:, None]
+    return a
 
 
 # rho1_multistart prices each step's live gradient rows in one gemm call,
@@ -428,20 +501,22 @@ def _piplus_admm(t: np.ndarray, tol_gap: float, iter_cap: int):
     upper, y_best = math.inf, None
     eye = np.eye(n)
     # work buffers for V = Z - U, Y and the Z of this and the last step; W
-    # holds |V|, V / r, Yhat + U, Y - Z, -U and the check's temporaries; D is
-    # the PSD projection's scratch, and prox the l1 projection's
+    # holds V / r, Yhat + U, Y - Z, -U and the check's temporaries; D is the
+    # PSD projection's scratch; the prox takes X = V / r as one row, its
+    # |X| (then the shrunk row) in xa and its other scratch in prox
     z, z_prev = t.copy(), np.empty_like(t)
     v, y, w, d = (np.empty_like(t) for _ in range(4))
-    prox = _L1Work((n * n,))
+    x, xa = w.reshape(1, n * n), np.empty((1, n * n))
+    prox = _L1Work(xa.shape)
     for k in range(1, iter_cap + 1):
         r = 1.0 / rho
         np.subtract(z, u, out=v)
-        if np.abs(v, out=w).sum() > r:
-            np.divide(v, r, out=w)
-            np.multiply(r, _project_l1_rows(w.ravel(), prox).reshape(n, n), out=y)
+        np.divide(v, r, out=w)
+        if np.abs(x, out=xa).sum() > 1.0:
+            np.multiply(r, _shrink_rows(x, xa, prox).reshape(n, n), out=y)
             np.subtract(v, y, out=y)
         else:
-            y.fill(0.0)
+            y.fill(0.0)  # the exact prox inside the ball
         # W = Yhat + U with Yhat = Z + alpha (Y - Z); the projection reads W
         # before it writes Z, so U = W - Z needs no second sum
         np.subtract(y, z, out=w)
@@ -497,17 +572,17 @@ def piplus_dual_upper(T, iter_cap: int = 60000) -> BoundReport:
     and U by sqrt(primal / dual relative residual), clipped to [0.2, 5],
     with the unrelaxed Y - Z as the primal residual.  alpha = 1.5 cuts the
     iterations by 20-30% at n = 12..100 (1330 -> 920 on the bench's n = 30
-    matrix); 1.6 and above slow the fast runs.  With r = 1/rho, P(V) = V,
-    so Y = 0, when ||V||_1 <= r, and otherwise P(V) = r times the l1-sphere
-    projection of V / r: one sort-and-threshold of V / r taken as a single
-    n^2-vector.  Each run makes one workspace and keeps nothing across
-    calls.  Every iteration writes into it: V, Y, W, D = W - T,
-    V diag(lambda+), P, P + P^T and Z; the prox's sorted magnitudes,
-    cumulative sums, criterion and sign, with the 1..n^2 ramp made once;
-    and every 10th the check's |A|, T o A, Z - T, Y - Z and Z - Z_prev.
-    Beside the eigensolvers' results, the new arrays are the prox's result
-    (one n^2 array per iteration that projects), a shifted witness and an
-    improved A.  Two Z buffers alternate, as the
+    matrix); 1.6 and above slow the fast runs.  With r = 1/rho, the prox
+    forms X = V / r as one row of n^2 entries and tests ||X||_1 > 1 once:
+    inside the ball P(V) = V, so Y = 0 exactly, and outside it P(V) = r
+    times the l1-ball projection of X, one sort-and-threshold of that row.
+    Each run makes one workspace and keeps nothing across calls.  Every
+    iteration writes into it: V, X, |X| (then the shrunk row), Y, W,
+    D = W - T, V diag(lambda+), P, P + P^T and Z; the prox's sorted
+    magnitudes, cumulative sums, criterion and sign, with the 1..n^2 ramp
+    made once; and every 10th the check's |A|, T o A, Z - T, Y - Z and
+    Z - Z_prev.  Beside the eigensolvers' results, the new arrays are a
+    shifted witness and an improved A.  Two Z buffers alternate, as the
     balancing reads the last Z, and rescaling divides U in place.  T,
     Z = T + (P + P^T)/2 and every update are exactly symmetric (the prox,
     the relaxation and the rescaling act entrywise with scalar factors and

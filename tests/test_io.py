@@ -1,9 +1,14 @@
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import l1gram
 from l1gram import (
     AsymmetricMatrixError,
     Decomposition,
@@ -11,7 +16,6 @@ from l1gram import (
     ParseError,
     PivotRule,
     Rng,
-    eigen_decomposer,
     greedy_peel,
     load_matrix,
     rho1_exact,
@@ -266,9 +270,20 @@ class TestFrozenWriterBytes:
         assert _sha256(p) == (
             "652e42a46837f225c8446432a5e1fbe08a8c0023798548d6b7697c197fc2e2dc")
 
-    def test_save_decomposition_eigen(self, tmp_path, wishart400):
+    def test_save_decomposition_eigen(self, tmp_path):
+        # eigh's bytes change with the OpenBLAS thread count (2 to 4 threads
+        # give this digest, 1 thread another), so the export is made in a
+        # child pinned to 4 threads, run from the directory that holds the
+        # imported package so that it imports the same l1gram
         p = tmp_path / "e.txt"
-        save_decomposition(p, eigen_decomposer(wishart400))
+        code = (
+            "import sys\n"
+            "from l1gram import Rng, eigen_decomposer, sample_wishart, save_decomposition\n"
+            "save_decomposition(sys.argv[1], eigen_decomposer(sample_wishart(400, Rng(5))))\n"
+        )
+        subprocess.run([sys.executable, "-c", code, str(p)], check=True,
+                       cwd=Path(l1gram.__file__).parents[1],
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS="4"))
         assert _sha256(p) == (
             "533e61c40368711e8a474274e3b94d57b5817a899de5193f9b448c14bdce4c3e")
 

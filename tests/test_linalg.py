@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from l1gram import AsymmetricMatrixError, GramMatrix, Rng, operator_norm
-from l1gram.linalg import _L1Work, _project_l1_rows
+from l1gram.bounds import _L1Work, _project_l1_rows, _shrink_rows
 
 
 def project(x):
     """_project_l1_rows on a fresh workspace of x's shape."""
     return _project_l1_rows(x, _L1Work(x.shape))
+
+
+def project_row(x):
+    """The vector x projected as a one-row batch."""
+    return project(x[None])[0]
 
 
 def brute_sphere_projection(x, step=1e-3):
@@ -66,14 +71,14 @@ def test_operator_norm_dominates_rayleigh_quotients():
         assert abs(x @ A.entries @ x) <= nrm + 1e-10
 
 
-class TestProjectL1Sphere:
+class TestProjectL1Rows:
     def test_simple_examples(self):
-        assert np.allclose(project(np.array([2.0, 0.0])), [1.0, 0.0])
-        assert np.allclose(project(np.array([0.2, 0.2])), [0.5, 0.5])
+        assert np.allclose(project_row(np.array([2.0, 0.0])), [1.0, 0.0])
+        assert np.allclose(project_row(np.array([0.2, 0.2])), [0.5, 0.5])
 
     def test_three_one_against_grid_oracle(self):
         x = np.array([3.0, 1.0])
-        y = project(x)
+        y = project_row(x)
         assert np.allclose(y, [1.0, 0.0], atol=1e-12)
         oracle = brute_sphere_projection(x)
         assert np.abs(y - oracle).max() <= 2e-3
@@ -84,7 +89,7 @@ class TestProjectL1Sphere:
             x = 3.0 * r.normal(2)
             if np.abs(x).sum() == 0.0:
                 continue
-            y = project(x)
+            y = project_row(x)
             oracle = brute_sphere_projection(x)
             assert np.linalg.norm(y - x) <= np.linalg.norm(oracle - x) + 1e-6
 
@@ -92,37 +97,37 @@ class TestProjectL1Sphere:
         r = Rng(8)
         for t in range(200):
             x = r.normal(6) * (10.0 ** (t % 5 - 2))
-            y = project(x)
+            y = project_row(x)
             assert abs(np.abs(y).sum() - 1.0) <= 1e-12
-            y2 = project(y)
+            y2 = project_row(y)
             assert np.abs(y2 - y).max() <= 1e-12
 
     def test_zero_vector_rejected(self):
-        # also a NaN, an infinity or an l1 norm that overflows, as a vector
-        # (its norm tested as a float) and as a row of a batch
+        # also a NaN, an infinity or an l1 norm that overflows, as a
+        # one-row batch and as a row of a larger one
         for x in ([0.0, 0.0, 0.0], [1.0, np.nan, 0.5], [1.0, np.inf, 0.5],
                   [-np.inf, 0.0, 0.5], [1e308, -1e308, 0.0]):
             x = np.array(x)
             with np.errstate(over="ignore"), pytest.raises(ValueError):
-                project(x)
+                project(x[None])
             with np.errstate(over="ignore"), pytest.raises(ValueError):
                 project(np.vstack([np.ones(3), x]))
 
     def test_rows_match_the_vector_projection(self):
         # rows inside the ball, on the sphere, outside it, and with tied
-        # magnitudes: every row bit for bit as the vector projection alone
+        # magnitudes: every row bit for bit as the row projected alone
         r = Rng(9)
         x = r.normal(12 * 7).reshape(12, 7)
         x[0] *= 1e-3 / np.abs(x[0]).sum()
         x[1] /= np.abs(x[1]).sum()
-        x[2] = project(x[2])
+        x[2] = project_row(x[2])
         x[3] = [0.5, -0.5, 0.5, -0.5, 0.5, 0.0, 0.25]
         x[4] = [2.0, -2.0, 2.0, 1.0, -1.0, 1.0, 0.0]
         x[5] = [0.1, -0.1, 0.1, -0.1, 0.1, -0.1, 0.1]
         x[6:] *= 10.0 ** np.arange(-2, 4)[:, None]
         y = project(x)
         for row, out in zip(x, y):
-            assert np.array_equal(out, project(row))
+            assert np.array_equal(out, project_row(row))
 
 
 # Rows a few ulps outside the unit ball whose pairwise l1 norm exceeds 1
@@ -225,17 +230,28 @@ def admm_sized_vectors():
 
 
 def vector_family(family):
+    """One-row batches: the ADMM-sized vectors, or every row of the batches."""
     if family == "admm":
-        return admm_sized_vectors()
-    return [row for batch in projection_batches() for row in batch]
+        return [x[None] for x in admm_sized_vectors()]
+    return [row[None] for batch in projection_batches() for row in batch]
+
+
+def family_batches(family):
+    """The ADMM-sized vectors stacked by length, or the batches themselves."""
+    if family == "admm":
+        vectors = admm_sized_vectors()
+        return [np.stack([x for x in vectors if x.size == n]) for n in (144, 900)]
+    return projection_batches()
 
 
 @pytest.mark.parametrize("family", ["admm", "batches"])
 def test_project_vector_matches_its_single_row(family):
-    # a vector runs the core on the 1-d array itself; the bytes, signed
-    # zeros included, must be those of the same vector as a 1-row batch
-    for x in vector_family(family):
-        assert project(x).tobytes() == project(x[None])[0].tobytes()
+    # each row of a batch, signed zeros included, must come out with the
+    # bytes of the same vector projected alone as a one-row batch
+    for x in family_batches(family):
+        y = project(x)
+        for row, out in zip(x, y):
+            assert out.tobytes() == project_row(row).tobytes()
 
 
 def stale_work(shape):
@@ -250,13 +266,17 @@ def stale_work(shape):
 
 @pytest.mark.parametrize("family", ["admm", "batches"])
 def test_project_with_stale_workspace_matches_a_fresh_one(family):
-    # the ADMM's prox reuses one workspace across iterations; the bytes,
-    # signed zeros included, must be those of a fresh workspace, and x must
-    # come back untouched
+    # the multistart reuses one workspace across steps, and the dual's prox
+    # hands a row outside the ball straight to _shrink_rows on one; the
+    # bytes, signed zeros included, must be those of a fresh workspace, and
+    # x must come back untouched
     for x in vector_family(family):
         before = x.tobytes()
         y = _project_l1_rows(x, stale_work(x.shape))
         assert y.tobytes() == project(x).tobytes()
+        if np.abs(x).sum() > 1.0:
+            shrunk = _shrink_rows(x, np.abs(x), stale_work(x.shape))
+            assert shrunk.tobytes() == y.tobytes()
         assert x.tobytes() == before
 
 
@@ -274,9 +294,9 @@ def test_project_batches_with_stale_workspace_match_a_fresh_one():
 def test_project_result_is_owned_by_the_caller(family):
     # the multistart keeps X while it projects the next candidate on the
     # same workspace: a second projection must leave the first result as it
-    # was, for vectors and for batches of one shape
+    # was, for one-row batches and for larger batches of one shape
     if family == "admm":
-        pairs = [(x, -2.0 * x) for x in admm_sized_vectors()]
+        pairs = [(x, -2.0 * x) for x in vector_family("admm")]
     else:
         batches = projection_batches()
         pairs = [(x, z) for x, z in zip(batches, batches[1:]) if x.shape == z.shape]
