@@ -17,7 +17,6 @@ from .bounds import (
     quadratic_vertex_bound,
     rho1_exact,
     rho1_multistart,
-    rho1_structured_upper,
     witness_value_closed_form,
 )
 from .decompose import (
@@ -36,15 +35,13 @@ from .errors import (
     ParseError,
     SingularPivotError,
 )
-from .linalg import GramMatrix, operator_norm
+from .linalg import GramMatrix
 from .matio import load_matrix, save_decomposition, save_matrix
 from .randcert import (
     BaiYinSummary,
-    KappaEstimate,
     SubsetNormEstimate,
     bai_yin_stat,
     build_T,
-    estimate_kappa_for,
     make_ensemble,
     max_restricted_norm,
     sample_W,

@@ -8,7 +8,9 @@ For a symmetric T this module computes
 with exact enumeration, heuristic ascent, explicit feasible witnesses and a
 certified dual upper bound, plus the ratio piplus/rho1 that lower-bounds the
 worst-case decomposition-cost constant.  Since the l1 ball contains 0, both
-quantities are reported with a floor at 0.
+quantities are reported with a floor at 0.  For T = W - (sqrt(n)/4) I, the
+ratio may instead divide by a split bound on rho1 built from the restricted
+norms of W (``certify_ratio``'s structured mode).
 
 The multistart ascent on rho1 and the dual's prox on piplus (by Moreau, an
 l1-ball projection) share one kernel: the sort-and-threshold projection of
@@ -29,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import GramMatrix, as_matrix_array, operator_norm
-from .randcert import _STACK_CAP, estimate_kappa_for, sample_W, shift_to_T
+from .linalg import GramMatrix, as_matrix_array
+from .randcert import _STACK_CAP, max_restricted_norm, sample_W, shift_to_T
 from .rng import Rng
 
 CERTIFICATE_RANK = {"exact": 2, "certified_bound": 1, "heuristic": 0}
@@ -627,50 +629,51 @@ def quadratic_vertex_bound(a2: float, a1: float, a0: float) -> tuple:
     return argmax, a0 - a1 * a1 / (4.0 * a2)
 
 
-def rho1_structured_upper(T, kappa: float, restricted_norm: float,
-                          full_norm: float, certified: bool = True) -> BoundReport:
-    """Upper bound on rho1 for shifted hollow +-1 matrices.
+def _rho1_structured(W: GramMatrix, rng: Rng) -> tuple:
+    """(kappa, rho1 upper report) for T = W - (sqrt(n)/4) I, W from sample_W.
 
-    Splits any unit-l1 x into entries of size >= 1/(kappa n) (at most
-    kappa n of them, giving the restricted-norm term) and the rest (with
-    ||x_small||_2 <= 1/(kappa sqrt(n))), then maximizes the resulting
+    The subset fraction kappa = k/n: the scan runs k = 2, 3, ... and stops
+    at the first size whose max restricted norm
+    (max_restricted_norm(W, k, "auto") on rng.child(k), 2000 Monte Carlo
+    subsets beyond the exhaustive cap) exceeds sqrt(n)/8, keeping the last
+    size that passed, or k = 1 (1x1 blocks of a hollow W have norm 0).
+
+    The bound splits any unit-l1 x into entries of size >= 1/(kappa n) (at
+    most kappa n of them, giving the restricted-norm term r) and the rest
+    (with ||x_small||_2 <= 1/(kappa sqrt(n))), then maximizes the resulting
     quadratic in xi = ||x_big||_2:
 
-        (restricted - sqrt(n)/4) xi^2 + (2 full/(kappa sqrt(n))) xi
-          + full/(kappa^2 n).
+        (r - sqrt(n)/4) xi^2 + (2 ||W||/(kappa sqrt(n))) xi
+          + ||W||/(kappa^2 n).
 
-    Vacuous (upper = inf) when restricted >= sqrt(n)/4; certified only when
-    the norm inputs are exact and restricted <= sqrt(n)/8.
+    Since r <= sqrt(n)/8, the leading coefficient is negative.  The bound
+    needs r exact only at the chosen k, so it is certified when that size
+    was scanned exhaustively and heuristic when its subsets were sampled.
     """
-    arr = as_matrix_array(T)
-    n = arr.shape[0]
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError("kappa must lie in (0, 1]")
-    if restricted_norm < 0.0 or full_norm < 0.0:
-        raise ValueError("norm bounds must be nonnegative")
-    shift = math.sqrt(n) / 4.0
-    diag = np.diag(arr)
-    if np.abs(diag + shift).max() > 1e-9 * max(1.0, shift):
-        raise ValueError("diagonal must equal -sqrt(n)/4")
-    if n > 1:
-        off = np.abs(arr[~np.eye(n, dtype=bool)])
-        if (np.minimum(off, np.abs(off - 1.0))).max() > 1e-12:  # allow degenerate 0
-            raise ValueError("off-diagonal entries must be +-1 (or 0)")
+    n = W.n
+    root_n = math.sqrt(n)
+    target = 0.125 * root_n
 
-    a2 = restricted_norm - shift
-    if a2 >= 0.0:
-        return BoundReport(
-            quantity="rho1", lower=None, upper=math.inf,
-            method="structured(vacuous)", certificate="heuristic",
-        )
-    a1 = 2.0 * full_norm / (kappa * math.sqrt(n))
-    a0 = full_norm / (kappa * kappa * n)
-    _, upper = quadratic_vertex_bound(a2, a1, a0)
-    cert = "certified_bound" if (certified and restricted_norm <= shift / 2.0) \
-        else "heuristic"
-    return BoundReport(
-        quantity="rho1", lower=None, upper=upper,
-        method="structured", certificate=cert,
+    def norm_at(k):
+        return max_restricted_norm(W, k, mode="auto", samples=2000, rng=rng.child(k))
+
+    k, est = 1, None
+    for size in range(2, n + 1):
+        nxt = norm_at(size)
+        if nxt.value > target:
+            break
+        k, est = size, nxt
+    if est is None:
+        est = norm_at(1)
+    kappa = k / n
+    lam = np.linalg.eigvalsh(W.entries)
+    full = float(max(abs(lam[0]), abs(lam[-1])))
+    a1 = 2.0 * full / (kappa * root_n)
+    a0 = full / (kappa * kappa * n)
+    _, upper = quadratic_vertex_bound(est.value - root_n / 4.0, a1, a0)
+    return kappa, BoundReport(
+        quantity="rho1", lower=None, upper=upper, method="structured",
+        certificate="certified_bound" if est.mode == "exhaustive" else "heuristic",
     )
 
 
@@ -710,11 +713,15 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
     """Sample W from the seed, build T and bound piplus/rho1 from below.
 
     exact mode (n <= n_cap) divides by the enumerated rho1; structured mode
-    divides by the restricted-norm upper bound with the subset fraction
-    calibrated on this W.  The piplus lower bound is the better of the
-    shifted-identity witness (when PSD) and the rank-one witness taken from
-    the rho1 search: rho1_exact's maximizer in exact mode, the best start of
-    a default rho1_multistart (64 restarts of 500 steps) in structured mode.
+    divides by the split bound of _rho1_structured, whose subset fraction
+    kappa is calibrated on this W: certified when the restricted norm at
+    kappa n was scanned exhaustively, heuristic when sampled.  That bound
+    lies far above the trivial rho1 <= 1 (the largest |T_ij|) at every n
+    tried: about 49 at n = 4, 33,000 at n = 512.  The piplus lower bound is
+    the better of the shifted-identity witness (when PSD) and the rank-one
+    witness taken from the rho1 search: rho1_exact's maximizer in exact
+    mode, the best start of a default rho1_multistart (64 restarts of 500
+    steps) in structured mode.
     A denominator that is not a positive finite number, or a lower bound at
     or below 0, falls back to ratio = 1, which always holds.
     """
@@ -727,22 +734,12 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
     if mode == "exact":
         rho1_rep = rho1_exact(T, n_cap=n_cap)
         rho1_for_rank1 = rho1_rep
-        denom = rho1_rep.upper
     elif mode == "structured":
-        ms = rho1_multistart(T, rng=root.child(1))
-        kap = estimate_kappa_for(W, beta=0.125, rng=root.child(2))
-        kappa = kap.alpha
-        full = operator_norm(W)
-        # the bound only needs the norm at the chosen k to be exact; whether
-        # larger k would also qualify does not affect its validity
-        rho1_rep = rho1_structured_upper(
-            T, kappa=kap.alpha, restricted_norm=kap.restricted_norm,
-            full_norm=full, certified=kap.restricted_exhaustive,
-        )
-        rho1_for_rank1 = ms
-        denom = rho1_rep.upper
+        rho1_for_rank1 = rho1_multistart(T, rng=root.child(1))
+        kappa, rho1_rep = _rho1_structured(W, root.child(2))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    denom = rho1_rep.upper
 
     piplus_rep = _piplus_lower(T, rho1_for_rank1,
                                piplus_witness(W, c) if n >= 2 else None)

@@ -1,10 +1,9 @@
-"""Dense symmetric matrices: validation and the spectral norm.
+"""Dense symmetric matrices and their validation.
 
 The module holds ``GramMatrix``, the one place a matrix is checked to be
-square, finite and symmetric; ``as_matrix_array``, which hands on a
-GramMatrix's array or validates a raw one; and ``operator_norm``.  Matrices
-are real symmetric, dense float64.  ``GramMatrix._wrap`` makes the array it
-is given read-only; every other operation here is a pure function.
+square, finite and symmetric, and ``as_matrix_array``, which hands on a
+GramMatrix's array or validates a raw one.  Matrices are real symmetric,
+dense float64.  ``GramMatrix._wrap`` makes the array it is given read-only.
 """
 
 from __future__ import annotations
@@ -71,10 +70,3 @@ def as_matrix_array(A) -> np.ndarray:
     if isinstance(A, GramMatrix):
         return A.entries
     return GramMatrix(A).entries
-
-
-def operator_norm(A) -> float:
-    """Spectral norm: max |lambda| over the eigenvalues."""
-    lam = np.linalg.eigvalsh(as_matrix_array(A))
-    return float(max(abs(lam[0]), abs(lam[-1])))
-

@@ -1,5 +1,4 @@
-"""Plain-text matrix files, decomposition exports and the report dicts
-of the bounds JSON.
+"""Plain-text matrix files and decomposition exports.
 
 Matrix format: the first non-blank line is n, then n non-blank lines of n
 scalars.  The file is ASCII; lines end in \\n, \\r\\n or \\r; a line of
@@ -16,7 +15,6 @@ import warnings
 
 import numpy as np
 
-from .bounds import BoundReport
 from .decompose import Decomposition
 from .errors import ParseError
 from .linalg import GramMatrix, as_matrix_array
@@ -143,14 +141,3 @@ def save_decomposition(path, dec: Decomposition) -> None:
         for i in range(dec.k):
             entries = row % tuple(dec.vectors[i].tolist())
             fh.write(f"{i} {_fmt(dec.costs[i])} {entries}\n")
-
-
-def report_to_dict(report: BoundReport) -> dict:
-    return {
-        "quantity": report.quantity,
-        "lower": report.lower,
-        "upper": report.upper,
-        "method": report.method,
-        "certificate": report.certificate,
-        "witness_path": None,  # kept so the bounds JSON bytes stay stable
-    }

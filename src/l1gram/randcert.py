@@ -2,8 +2,10 @@
 
 Samples hollow Rademacher matrices W (symmetric, +-1 off the diagonal, zero
 diagonal) and the shifted family T = -(sqrt(n)/4) I + W, measures extreme
-eigenvalues, and bounds the spectral norms of principal submatrices up to a
-given size, either exhaustively or by Monte Carlo subset sampling.
+eigenvalues, and takes the largest spectral norm over the principal
+submatrices of one size, either exhaustively or by Monte Carlo subset
+sampling (the scan behind certify_ratio's structured mode and the lemmas
+suite).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .rng import Rng
 
 EXHAUSTIVE_SUBSET_CAP = 10**6
 _STACK_CAP = 1 << 17  # float64 block entries per stacked eigvalsh or solve call
-KAPPA_SAMPLES = 2000  # Monte Carlo subsets per size in estimate_kappa_for
 
 
 def sample_W(n: int, rng: Rng) -> GramMatrix:
@@ -181,62 +182,6 @@ def max_restricted_norm(W, k: int, mode: str = "auto",
         raise ValueError("samples must be >= 1")
     best = _max_norm_of_subsets(a, iter(rng.subsets(n, k, samples)), k)
     return SubsetNormEstimate(k, "monte_carlo", samples, best, best / math.sqrt(n))
-
-
-@dataclass
-class KappaEstimate:
-    """Largest subset fraction alpha with restricted norm <= beta * sqrt(n).
-
-    alpha = k / n; ``restricted_norm`` is the max norm over size-k principal submatrices;
-    ``restricted_exhaustive`` says it is exact (every subset scanned), which
-    is what certifies bounds built from (alpha, restricted_norm).  When
-    beta * sqrt(n) < 1 only k = 1 qualifies on a hollow +-1 matrix (its 2x2
-    principal submatrices have norm 1).
-    """
-
-    alpha: float
-    k: int
-    restricted_norm: float
-    restricted_exhaustive: bool = False
-
-
-def estimate_kappa_for(W, beta: float, rng: Rng) -> KappaEstimate:
-    """Find the largest k with max-restricted-norm(k) <= beta * sqrt(n).
-
-    Scans k = 2, 3, ... upward, stops at the first size whose restricted
-    norm exceeds beta * sqrt(n) and reports the last size that passed, or
-    k = 1 (always within the target on a hollow diagonal) when none does.
-    That is the largest passing size whenever the passing sizes form a
-    prefix, as they do for exact norms, which are monotone in k.  Size k
-    is scanned with max_restricted_norm(W, k, "auto") on rng.child(k),
-    with KAPPA_SAMPLES Monte Carlo subsets beyond the exhaustive cap.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    a = as_matrix_array(W)
-    n = a.shape[0]
-    if np.abs(np.diag(a)).max() != 0.0:
-        raise ValueError("expected a hollow (zero-diagonal) matrix")
-    target = beta * math.sqrt(n)
-
-    def norm_at(k):
-        return max_restricted_norm(W, k, mode="auto", samples=KAPPA_SAMPLES,
-                                   rng=rng.child(k))
-
-    k, est = 1, None
-    for size in range(2, n + 1):
-        nxt = norm_at(size)
-        if nxt.value > target:
-            break
-        k, est = size, nxt
-    if est is None:
-        est = norm_at(1)
-    return KappaEstimate(
-        alpha=k / n,
-        k=k,
-        restricted_norm=est.value,
-        restricted_exhaustive=est.mode == "exhaustive",
-    )
 
 
 def tail_bound_curve(alpha: float, n: int) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -16,14 +17,13 @@ from l1gram import (
     Rng,
     build_T,
     certify_ratio,
-    operator_norm,
+    max_restricted_norm,
     piplus_dual_upper,
     piplus_rank1_lower,
     piplus_witness,
     quadratic_vertex_bound,
     rho1_exact,
     rho1_multistart,
-    rho1_structured_upper,
     sample_W,
     sample_wishart,
     shift_to_T,
@@ -875,45 +875,6 @@ class TestQuadraticVertexBound:
             assert peak == pytest.approx(34.0 / (kappa**2 * math.sqrt(n)), rel=1e-12)
 
 
-class TestRho1StructuredUpper:
-    def test_reproduces_split_constant(self):
-        n = 16
-        T = build_T(n, Rng(1))
-        kappa = 1.0
-        rep = rho1_structured_upper(T, kappa, restricted_norm=math.sqrt(n) / 8.0,
-                                    full_norm=2.0 * math.sqrt(n))
-        assert rep.upper == pytest.approx(34.0 / (kappa**2 * math.sqrt(n)), rel=1e-12)
-        assert rep.certificate == "certified_bound"
-
-    def test_zero_norms_give_zero_bound(self):
-        T = GramMatrix(-(math.sqrt(9) / 4.0) * np.eye(9))
-        rep = rho1_structured_upper(T, 1.0, 0.0, 0.0)
-        assert rep.upper == 0.0
-
-    def test_vacuous_flagged(self):
-        T = build_T(4, Rng(2))
-        rep = rho1_structured_upper(T, 1.0, restricted_norm=10.0, full_norm=10.0)
-        assert rep.upper == math.inf
-        assert rep.method == "structured(vacuous)"
-        assert rep.certificate == "heuristic"
-
-    def test_dominates_exact_value(self):
-        for t in range(6):
-            n = 8
-            W = sample_W(n, Rng(350 + t))
-            T = shift_to_T(W)
-            kappa = 1.0 / n  # only singletons are "large": restricted norm 0
-            rep = rho1_structured_upper(T, kappa, restricted_norm=0.0,
-                                        full_norm=operator_norm(W))
-            assert rep.upper >= rho1_exact(T).upper
-
-    def test_heuristic_when_uncertified(self):
-        T = build_T(16, Rng(3))
-        rep = rho1_structured_upper(T, 0.125, restricted_norm=0.2,
-                                    full_norm=8.0, certified=False)
-        assert rep.certificate == "heuristic"
-
-
 class TestCertifyRatio:
     def test_exact_mode_ratio_at_least_one(self):
         for seed in range(5):
@@ -947,6 +908,28 @@ class TestCertifyRatio:
         assert cert.kappa is not None
         assert cert.rho1.upper > 0.0
 
+    def test_structured_mode_dominates_exact_rho1(self):
+        # at n <= 12 the target sqrt(n)/8 is below 1, the norm of every 2x2
+        # block of a hollow +-1 W, so the scan keeps k = 1 (norm 0)
+        for n in range(4, 13):
+            for seed in range(3):
+                cert = certify_ratio(n, seed, mode="structured")
+                W = sample_W(n, Rng(seed).child(0))
+                assert cert.kappa == 1.0 / n
+                assert max_restricted_norm(W, 1).value <= math.sqrt(n) / 8.0
+                assert cert.rho1.upper >= rho1_exact(shift_to_T(W)).upper
+
+    @pytest.mark.parametrize("n, seed", [(32, 5), (64, 1)])
+    def test_structured_restricted_norm_within_target(self, n, seed):
+        # the exhaustive scan keeps the last size within sqrt(n)/8 and stops
+        # at the first beyond it
+        cert = certify_ratio(n, seed, mode="structured")
+        W = sample_W(n, Rng(seed).child(0))
+        k = round(cert.kappa * n)
+        assert cert.kappa == k / n
+        assert max_restricted_norm(W, k, mode="exhaustive").value <= math.sqrt(n) / 8.0
+        assert max_restricted_norm(W, k + 1, mode="exhaustive").value > math.sqrt(n) / 8.0
+
     def test_sandwich_inequalities(self):
         for t in range(8):
             T = build_T(8, Rng(450 + t))
@@ -955,6 +938,76 @@ class TestCertifyRatio:
             up = piplus_dual_upper(T)
             assert ex.upper <= up.upper + 1e-9
             assert lo.lower <= up.upper + 1e-9
+
+
+def certificate_fields(obj, prefix=""):
+    """(dotted name, value) of every field of a RatioCertificate, with each
+    BoundReport's fields in place of the report."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, BoundReport):
+            yield from certificate_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def field_bytes(value):
+    # numbers as float64 bytes: piplus.lower is an np.float64 when the
+    # re-evaluated rank-one value wins its max and a float otherwise, and
+    # repr tells the two apart
+    if value is None:
+        return b"None"
+    if isinstance(value, str):
+        return value.encode()
+    if isinstance(value, GramMatrix):
+        return value.entries.tobytes()
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return np.float64(value).tobytes()
+
+
+def structured_digest(cert, skip=()):
+    h = hashlib.sha256()
+    for name, value in certificate_fields(cert):
+        if name not in skip:
+            h.update(name.encode())
+            h.update(field_bytes(value))
+    return h.hexdigest()
+
+
+# rho1.upper and ratio.lower come from eigvalsh of the whole W, whose last
+# bits move with the BLAS thread count at n = 256, so that cell leaves them out
+STRUCTURED_CELLS = {
+    (32, 5): (),
+    (64, 1): (),
+    (128, 2): (),
+    (256, 3): ("rho1.upper", "ratio.lower"),
+}
+
+FROZEN_STRUCTURED = {
+    (32, 5):
+        "0d3d695ff87438d9b18c462b5fea9204e17e9ed7fe042be7fa452623fe644985",
+    (64, 1):
+        "0c87a144bb966159441fcdae6c1d9623ba9bbc97f0d6fe2fa08ed9e151fe1216",
+    (128, 2):
+        "59162f5c57f869d37c74e52ebb3508f7192ae140f476622801abdf9d0bc6bbec",
+    (256, 3):
+        "d652f86b14298419b0f296a36fb016ed8bfcf88238cdc790827ca8aeebe6124d",
+}
+
+
+class TestCertifyStructuredFrozen:
+    """SHA-256 of every field of certify_ratio(n, seed, mode="structured"),
+    numbers as float64 bytes, recorded while the subset-fraction scan, the
+    spectral norm and the split bound were three public functions.  n = 32,
+    64 and 128 scan exhaustively (certified_bound); n = 256 samples subsets
+    (heuristic)."""
+
+    @pytest.mark.parametrize("n, seed", sorted(STRUCTURED_CELLS))
+    def test_digest(self, n, seed):
+        cert = certify_ratio(n, seed, mode="structured")
+        assert structured_digest(cert, STRUCTURED_CELLS[n, seed]) == \
+            FROZEN_STRUCTURED[n, seed]
 
 
 def test_bound_report_invariants_enforced():

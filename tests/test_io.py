@@ -23,7 +23,7 @@ from l1gram import (
     save_decomposition,
     save_matrix,
 )
-from l1gram.matio import report_to_dict
+from l1gram.cli import _report_to_dict
 
 
 def write_raw(path, text):
@@ -333,7 +333,7 @@ class TestDecompositionExport:
 class TestReportJson:
     def test_dict_without_witness(self):
         rep = rho1_exact(GramMatrix(np.eye(2)))
-        d = report_to_dict(rep)
+        d = _report_to_dict(rep)
         assert set(d) == {"quantity", "lower", "upper", "method", "certificate",
                           "witness_path"}
         assert d["witness_path"] is None

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from l1gram import AsymmetricMatrixError, GramMatrix, Rng, operator_norm
+from l1gram import AsymmetricMatrixError, GramMatrix, Rng
 from l1gram.bounds import _L1Work, _project_l1_rows, _shrink_rows
 
 
@@ -52,23 +52,6 @@ class TestGramMatrix:
         g = GramMatrix(np.eye(3))
         with pytest.raises(ValueError):
             g.entries[0, 0] = 5.0
-
-
-def test_operator_norm_examples():
-    assert operator_norm(GramMatrix(np.diag([2.0, -5.0]))) == 5.0
-    assert operator_norm(GramMatrix([[0.0, 1.0], [1.0, 0.0]])) == 1.0
-    assert abs(operator_norm(GramMatrix(np.ones((4, 4)))) - 4.0) <= 1e-12
-
-
-def test_operator_norm_dominates_rayleigh_quotients():
-    g = Rng(42).normal(100).reshape(10, 10)
-    A = GramMatrix((g + g.T) / 2)
-    nrm = operator_norm(A)
-    r = Rng(43)
-    for _ in range(1000):
-        x = r.normal(10)
-        x /= np.linalg.norm(x)
-        assert abs(x @ A.entries @ x) <= nrm + 1e-10
 
 
 class TestProjectL1Rows:
