@@ -875,6 +875,18 @@ class TestQuadraticVertexBound:
             assert peak == pytest.approx(34.0 / (kappa**2 * math.sqrt(n)), rel=1e-12)
 
 
+class TestRho1StructuredUpper:
+    def test_dominates_exact_value(self):
+        # at n <= 12 the scan keeps k = 1 (TestEstimateKappa in
+        # test_randcert), so kappa = 1/n and the restricted-norm term is 0
+        for n in range(4, 13):
+            for seed in range(3):
+                cert = certify_ratio(n, seed, mode="structured")
+                W = sample_W(n, Rng(seed).child(0))
+                assert cert.kappa == 1.0 / n
+                assert cert.rho1.upper >= rho1_exact(shift_to_T(W)).upper
+
+
 class TestCertifyRatio:
     def test_exact_mode_ratio_at_least_one(self):
         for seed in range(5):
@@ -907,17 +919,6 @@ class TestCertifyRatio:
         assert cert.cn_lower >= 1.0
         assert cert.kappa is not None
         assert cert.rho1.upper > 0.0
-
-    def test_structured_mode_dominates_exact_rho1(self):
-        # at n <= 12 the target sqrt(n)/8 is below 1, the norm of every 2x2
-        # block of a hollow +-1 W, so the scan keeps k = 1 (norm 0)
-        for n in range(4, 13):
-            for seed in range(3):
-                cert = certify_ratio(n, seed, mode="structured")
-                W = sample_W(n, Rng(seed).child(0))
-                assert cert.kappa == 1.0 / n
-                assert max_restricted_norm(W, 1).value <= math.sqrt(n) / 8.0
-                assert cert.rho1.upper >= rho1_exact(shift_to_T(W)).upper
 
     @pytest.mark.parametrize("n, seed", [(32, 5), (64, 1)])
     def test_structured_restricted_norm_within_target(self, n, seed):

@@ -17,6 +17,7 @@ from l1gram import (
     tail_bound_curve,
 )
 from l1gram import randcert
+from l1gram.bounds import _rho1_structured
 
 
 class TestSampleW:
@@ -200,6 +201,18 @@ class TestBatchedScan:
                                       rng=batch)
             assert est.value == ref
             assert batch.counter == seq.counter == samples * k
+
+
+class TestEstimateKappa:
+    def test_degenerate_small_n(self):
+        # below n = 64 the target sqrt(n)/8 is under 1, the norm of every 2x2
+        # principal block of a hollow +-1 W, so the scan keeps k = 1 (norm 0)
+        for n in range(2, 64):
+            W = sample_W(n, Rng(n).child(0))
+            assert max_restricted_norm(W, 2).value > math.sqrt(n) / 8.0
+            kappa, rep = _rho1_structured(W, Rng(n).child(2))
+            assert kappa == 1.0 / n
+            assert rep.certificate == "certified_bound"
 
 
 class TestTailBoundCurve:
