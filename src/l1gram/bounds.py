@@ -101,13 +101,8 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
     strictly positive y are kept, and the value is re-evaluated as
     x^T T_PP x with x = s * y, so an ill-conditioned solve can only give a
     genuine feasible value or be rejected.  A size is priced in slices of
-    at most _STACK_CAP block entries, one stacked solve per slice with each
-    pattern its own right-hand side against its unflipped block: partial
-    pivoting picks the same pivots on D S D as on S, so
-    solve(D S D, 1) = s * solve(S, s) bit for bit.  When a slice's solve
-    raises, one slogdet per support finds the singular ones (sign 0 exactly
-    where LU meets the zero pivot the solve raised on), and the regular
-    patterns are solved again in one call.
+    at most _STACK_CAP block entries, one stacked solve per slice
+    (_face_points), each support's block gathered once.
     """
     arr = as_matrix_array(T)
     n = arr.shape[0]
@@ -151,19 +146,7 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
             block = idx[first]
             blocks = arr[block[:, :, None], block[:, None, :]]
             of = np.cumsum(first) - 1
-            S = blocks[of]
-            try:
-                v = np.linalg.solve(S, s[:, :, None])[..., 0]
-            except np.linalg.LinAlgError:
-                # singular supports get no candidate
-                regular = (np.linalg.slogdet(blocks)[0] != 0.0)[of]
-                v = np.full(s.shape, np.nan)
-                v[regular] = np.linalg.solve(S[regular], s[regular, :, None])[..., 0]
-            w = s * v  # solve(D S D, 1) per pattern
-            sums = w.sum(axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                y = w / sums[:, None]
-            ok = np.isfinite(y).all(axis=1) & (y > 0.0).all(axis=1)
+            S, y, ok = _face_points(blocks, of, s)
             feas = np.nonzero(ok)[0]
             if feas.size == 0:
                 continue
@@ -191,18 +174,48 @@ def rho1_exact(T, n_cap: int = DEFAULT_N_CAP) -> BoundReport:
     )
 
 
+def _face_points(blocks: np.ndarray, of: np.ndarray, s: np.ndarray) -> tuple:
+    """(S, y, ok) for a stack of face systems: pattern r has the block
+    S[r] = blocks[of[r]] and the signs s[r], and y[r] = solve(D S D, 1) /
+    its sum with D = diag(s[r]), the stationary point of the face in simplex
+    coordinates; ok[r] is True where every y_i is finite and > 0.
+
+    The stack is solved in one call with each pattern its own right-hand
+    side against its unflipped block: partial pivoting picks the same pivots
+    on D S D as on S, so solve(D S D, 1) = s * solve(S, s) bit for bit.  When
+    the solve raises, one slogdet per block finds the singular ones (sign 0
+    exactly where LU meets the zero pivot the solve raised on); their
+    patterns get NaN, so not ok, and the regular ones are solved again in
+    one call.
+    """
+    S = blocks[of]
+    try:
+        v = np.linalg.solve(S, s[:, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        regular = (np.linalg.slogdet(blocks)[0] != 0.0)[of]
+        v = np.full(s.shape, np.nan)
+        v[regular] = np.linalg.solve(S[regular], s[regular, :, None])[..., 0]
+    w = s * v
+    sums = w.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        y = w / sums[:, None]
+    return S, y, np.isfinite(y).all(axis=1) & (y > 0.0).all(axis=1)
+
+
 class _L1Work:
     """Scratch for _project_l1_rows and _shrink_rows on an (m, n) x of one
     shape: the sorted magnitudes, their cumulative sums, the criterion, its
-    mask and sign(x), and the 1..n ramp.  The result is never built here, so
-    a caller may keep it while it projects again on the same workspace."""
+    mask and sign(x), the 1..n ramp and each row's offset in the flat
+    buffers.  The result is never built here, so a caller may keep it while
+    it projects again on the same workspace."""
 
-    __slots__ = ("srt", "cumsum", "crit", "mask", "sign", "ramp")
+    __slots__ = ("srt", "cumsum", "crit", "mask", "sign", "ramp", "offsets")
 
     def __init__(self, shape):
         self.srt, self.cumsum, self.crit, self.sign = (np.empty(shape) for _ in range(4))
         self.mask = np.empty(shape, dtype=bool)
         self.ramp = np.arange(1.0, shape[-1] + 1.0)
+        self.offsets = np.arange(0, shape[0] * shape[-1], shape[-1])
 
 
 def _project_l1_rows(x: np.ndarray, work: _L1Work) -> np.ndarray:
@@ -250,8 +263,8 @@ def _shrink_rows(x: np.ndarray, a: np.ndarray, work: _L1Work) -> np.ndarray:
     # the last index where u_k k > cumsum_k - 1 (always true at k = 1)
     rho = n - 1 - np.greater(
         np.multiply(u, work.ramp, out=work.crit), cumsum, out=work.mask)[..., ::-1].argmax(-1)
-    # cumsum at rho in each row
-    theta = (cumsum[np.arange(rho.size), rho] / (rho + 1.0))[:, None]
+    # cumsum at rho in each row, one flat gather from the contiguous buffer
+    theta = (cumsum.take(work.offsets + rho) / (rho + 1.0))[:, None]
     np.subtract(a, theta, out=a)
     np.maximum(a, 0.0, out=a)
     # s comes after the sign multiply: a row can end with a negative theta
@@ -264,11 +277,59 @@ def _shrink_rows(x: np.ndarray, a: np.ndarray, work: _L1Work) -> np.ndarray:
     return a
 
 
+def _face_jumps(arr: np.ndarray, X: np.ndarray) -> tuple:
+    """(rows, C): for each row x of X, the stationary point of its face
+    (support S, signs s = sign(x_S)) on the l1 sphere, x' = s * y with
+    D T_SS D y = 1 normalized to sum(y) = 1, kept only where every y_i is
+    finite and > 0 (_face_points) and D T_SS D is negative definite on the
+    face's directions {v : sum(v) = 0}, so that x' is a strict maximum on
+    its face; rows indexes X's rows that have one, and C holds those points
+    as rows of X's width.  A row whose support has more than
+    _JUMP_MAX_SUPPORT entries gets none.
+
+    The rows are grouped by support size, and each size is solved as
+    stacked systems in slices of at most _STACK_CAP block entries.  The
+    definiteness test takes the largest eigenvalue of the block in the
+    basis e_i - e_k (i < k) of those directions, one stacked eigvalsh per
+    slice; a vertex (k = 1) has no direction and always passes.
+    """
+    m, n = X.shape
+    nz = X != 0.0
+    size = np.count_nonzero(nz, axis=1)
+    C, found = np.zeros((m, n)), np.zeros(m, dtype=bool)
+    # the sizes present up to the cap; np.unique would cost about 17 ms on
+    # its first call
+    for k in np.flatnonzero(np.bincount(size)[:_JUMP_MAX_SUPPORT + 1]):
+        group = np.flatnonzero(size == k)
+        step = max(1, _STACK_CAP // (k * k))
+        for lo in range(0, group.size, step):
+            rows = group[lo:lo + step]
+            idx = np.nonzero(nz[rows])[1].reshape(rows.size, k)
+            s = np.sign(X[rows[:, None], idx])
+            blocks = arr[idx[:, :, None], idx[:, None, :]]
+            _, y, ok = _face_points(blocks, np.arange(rows.size), s)
+            if k > 1 and ok.any():
+                # D S D in the basis e_i - e_k of the face's directions
+                M = blocks[ok] * s[ok, :, None] * s[ok, None, :]
+                B = M[:, :-1, :-1] - M[:, :-1, -1:] - M[:, -1:, :-1] + M[:, -1:, -1:]
+                ok[ok] = np.linalg.eigvalsh(B)[:, -1] < 0.0
+            C[rows[ok, None], idx[ok]] = s[ok] * y[ok]
+            found[rows] = ok
+    rows = np.flatnonzero(found)
+    return rows, C[rows]
+
+
 # rho1_multistart prices each step's live gradient rows in one gemm call,
 # with the rows zero-padded to a multiple of _GEMM_ROWS and T zero-padded to
 # a multiple of _GEMM_PAD (the sweep that backs this is in its docstring).
 _GEMM_ROWS = 8
 _GEMM_PAD = 32
+# every _JUMP_EVERY steps each live row tries the stationary point of its
+# face, unless the face has more than _JUMP_MAX_SUPPORT entries: from
+# k = 100 (k^2 >= 10,000 block entries) OpenBLAS 0.3.31 threads the stacked
+# LU, and its bytes then follow the BLAS thread count (k <= 99 kept them)
+_JUMP_EVERY = 25
+_JUMP_MAX_SUPPORT = 96
 
 
 def rho1_multistart(T, restarts: int = 64, steps: int = 500, *,
@@ -288,6 +349,37 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500, *,
     stacked gradient X @ T and one stacked value
     matmul(X[:, None, :], G[:, :, None]), which numpy prices row by row with
     the BLAS dot that x @ g uses on one vector.
+
+    After every _JUMP_EVERY (J = 25) steps each live row tries a face jump,
+    the active-set step of projected Newton methods (Bertsekas 1982): its
+    face is its support S with signs s, and the candidate is the face's
+    stationary point x = s * y / sum(y) with D T_SS D y = 1, the system
+    rho1_exact solves (_face_jumps, batched per support size through
+    _face_points).  A face gives no candidate when its solve is singular,
+    when an entry of y is not finite and > 0, or when the point is not a
+    strict maximum on the face (D T_SS D not negative definite along the
+    face): the ascent cannot leave a stationary point of its face, so a
+    jump to a saddle would hold the row there.  The candidates' gradient
+    and value go through the same padded gemm and row dot as a step's, a
+    candidate replaces its row only where it passes the step's accept test,
+    so no row's value falls, and the row keeps its step size.  A row that
+    jumps to its face's maximum fails its next tests and leaves sooner, so
+    the jumps roughly halve the row-steps of a run.  A run of fewer than J
+    steps makes no jump, and neither does a row whose support has more
+    than _JUMP_MAX_SUPPORT (96) entries, so that the LU stays on one thread.
+
+    J was chosen on 303 runs: the heuristic scaling grids of criterion 11
+    and of the README (n = 100, 200, 400, 800 x 10 seeds each), n = 100,
+    200, 400 x seeds 0..9 and n = 800 seed 7 on
+    T = shift_to_T(sample_W(n, Rng(seed).child(0))), the frozen test runs
+    of 50 and 500 steps, and the bench's n = 30 and structured-ratio
+    inputs.  Against the run without jumps, J = 5 lost 1.3e-3 (relative) on one 50-step
+    frozen run, and J = 10 to 30 lost no more than 6.4e-16 relative on any
+    cell, below the accept test's 1e-15 (at J = 25, seven frozen build_T
+    cells of n <= 40, by at most 4 ulps).  J = 25 and 30 were the fastest at
+    n = 512, and 25 takes fewer row-steps.
+    Without the saddle test, J = 25 lost 2.4e-2 at n = 200 (README cell
+    seed 11), and J = 20 lost 2.5e-3 at n = 400, seed 7.
 
     The gradient is a gemm, so a row's bits must not depend on the BLAS
     thread count, nor change as live rows leave the batch.  A plain X @ T
@@ -321,22 +413,25 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500, *,
         P = np.matmul(Yp[:mb], Tp)
         return np.ascontiguousarray(P[:m, :n])
 
+    def priced(Y):
+        # each row's gradient and its value y . g, the one row dot
+        G = gradient(Y)
+        return G, np.matmul(Y[:, None, :], G[:, :, None])[:, 0, 0]
+
     step0 = 1.0 / math.sqrt(n)
     work = _L1Work((restarts, n))
     X = _project_l1_rows(np.stack([rng.child(r).normal(n) for r in range(restarts)]), work)
-    G = gradient(X)
-    f = np.matmul(X[:, None, :], G[:, :, None])[:, 0, 0]
+    G, f = priced(X)
     eta = np.full(f.size, step0)
     # X, G, f and eta hold the live rows only; live maps them to restarts,
     # and a row that leaves is written to X_end and f_end
     live = np.arange(f.size)
     X_end, f_end = np.empty_like(X), np.empty_like(f)
-    for _ in range(steps):
+    for t in range(1, steps + 1):
         if live.size == 0:
             break
         cand = _project_l1_rows(X + (2.0 * eta)[:, None] * G, work)
-        gc = gradient(cand)
-        fc = np.matmul(cand[:, None, :], gc[:, :, None])[:, 0, 0]
+        gc, fc = priced(cand)
         up = fc > f + 1e-15 * np.abs(f)
         if up.all():
             X, G, f = cand, gc, fc
@@ -349,6 +444,12 @@ def rho1_multistart(T, restarts: int = 64, steps: int = 500, *,
             X_end[live[gone]], f_end[live[gone]] = X[gone], f[gone]
             X, G, f, eta, live = X[keep], G[keep], f[keep], eta[keep], live[keep]
             work = _L1Work(X.shape)
+        if t % _JUMP_EVERY == 0:
+            rows, cand = _face_jumps(arr, X)
+            gc, fc = priced(cand)
+            up = fc > f[rows] + 1e-15 * np.abs(f[rows])
+            rows = rows[up]
+            X[rows], G[rows], f[rows] = cand[up], gc[up], fc[up]
     X_end[live], f_end[live] = X, f
     X, f = X_end, f_end
     best, best_x = 0.0, np.zeros(n)
@@ -382,7 +483,7 @@ def piplus_rank1_lower(T, rho1_report: BoundReport) -> BoundReport:
         x = np.asarray(x, dtype=np.float64)
         norm1 = np.abs(x).sum()
         if norm1 > 0.0:
-            value = max(value, float(x @ (arr @ x)) / norm1**2)
+            value = max(value, float(x @ (arr @ x) / norm1**2))
             witness = GramMatrix._wrap(np.outer(x, x) / norm1**2)
     return BoundReport(
         quantity="piplus",
@@ -721,7 +822,11 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
     the better of the shifted-identity witness (when PSD) and the rank-one
     witness taken from the rho1 search: rho1_exact's maximizer in exact
     mode, the best start of a default rho1_multistart (64 restarts of 500
-    steps) in structured mode.
+    steps) in structured mode.  There the multistart is most of the time
+    at large n (about 90% at n = 512), and its face jumps every J = 25
+    steps (rho1_multistart, which also gives the grid that chose J) cut
+    that time by about a third; on the grid's eight structured-ratio cells
+    (n = 128 and 512) no value fell against the run without jumps.
     A denominator that is not a positive finite number, or a lower bound at
     or below 0, falls back to ratio = 1, which always holds.
     """

@@ -30,6 +30,7 @@ from l1gram import (
     witness_value_closed_form,
 )
 
+from l1gram import bounds as bounds_mod
 from l1gram.bounds import _piplus_admm
 
 OFFDIAG = GramMatrix([[0.0, 1.0], [1.0, 0.0]])
@@ -386,49 +387,58 @@ def multistart_digest(family, run):
 
 FROZEN_MULTISTART = {
     # re-recorded when the gradient became 8-row gemm blocks against a
-    # 32-padded T; each moved entry keeps its old digest in a comment
+    # 32-padded T, and the runs of 25 steps or more again when the face
+    # jumps came in (16x1 and 1x0 make no jump and kept their bytes); each
+    # moved entry keeps its old digests in comments
     # was 6796193605a0c328137f20b627dc6d39d25f45d92d73e010e0e12598c9139a3a
     "T-16x1":
         "af5b7ed02aa4368abb8f227cb63e65f48528d6ce6f2ef4e75790ce6290675a80",
     # was b98892bddc8e7d0517465b786f2488619d566277a9c7e19a3916de96597aa521
     "T-1x0":
         "51dd175ec71aaf828e8af52babed8b22f6909d4bff8bfcc18f1b831729d090f2",
-    # was f2ddc0b09dbfbfeaae34c8fae930c826c027e43bc3f56b0027cab945c3691ad2
+    # was f2ddc0b09dbfbfeaae34c8fae930c826c027e43bc3f56b0027cab945c3691ad2 (before the gemm blocks)
+    # was cdaa5fe56149db42057a710cd3ba32456bdc33e944e5719eea4846577ee6ef78 (before the face jumps)
     "T-64x500":
-        "cdaa5fe56149db42057a710cd3ba32456bdc33e944e5719eea4846577ee6ef78",
-    # was b0abe5deeeabeca995639789ecc5982d11c6f648c4e05f1edabe04987876538c
+        "25fb330b8dbec831138d60aabe4ac05957382fbd12cf328e91d602ca3da64a04",
+    # was b0abe5deeeabeca995639789ecc5982d11c6f648c4e05f1edabe04987876538c (before the gemm blocks)
+    # was 75e65787e6083bcab5ea36902613c401dbbdbe43e3203a7ed40b364fdb198dae (before the face jumps)
     "T-7x50":
-        "75e65787e6083bcab5ea36902613c401dbbdbe43e3203a7ed40b364fdb198dae",
+        "9c6d01ecfc0415f67b647ddccddf97152e2bd24d44a554f9c8c03ab933affebe",
     # was 7acd004aeae4b805a005958d108ee62d3457be2abe4662b37be7b9d1b63fdcef
     "gauss-16x1":
         "0a6281829bca81ca622677fde30321f99215cc5c250a79fe7649a33f44dbb958",
     # was 4a5eb8a8767602ab887ee3515dcd9e2059aa2e6b90415e1262bf9326d6b0b218
     "gauss-1x0":
         "b2aef487fed59041bfb442fe0c9cd5cd0ec5cf57f65be61ed9ac68477523238c",
-    # was b951a08815b2c151b0f7c4e35d315dbc92e30c660eba0494438f5f2958730d7c
+    # was b951a08815b2c151b0f7c4e35d315dbc92e30c660eba0494438f5f2958730d7c (before the gemm blocks)
+    # was d735f52302542c39c3cdc101881c7685e41f0bda00e7ade67fdc6aa36ebbdaa7 (before the face jumps)
     "gauss-64x500":
-        "d735f52302542c39c3cdc101881c7685e41f0bda00e7ade67fdc6aa36ebbdaa7",
-    # was eef896969ae0e3f72246b091ddb8ba1dfe304d9cb6845ff8315194141d3da9a5
+        "e071f163ea27140b9504245de02eb033328ad20da40f83ea68f8fe19549e7fd3",
+    # was eef896969ae0e3f72246b091ddb8ba1dfe304d9cb6845ff8315194141d3da9a5 (before the gemm blocks)
+    # was 6c37fb091c99f93004a8b22ab51ac37e947f54dd37dd5162b4f70233b2e058b7 (before the face jumps)
     "gauss-7x50":
-        "6c37fb091c99f93004a8b22ab51ac37e947f54dd37dd5162b4f70233b2e058b7",
+        "90fbf2acbb17deb93a8f5fc518240fa1d63929e44d03ab30322f0a33dceeaccc",
     "special-16x1":
         "6eda21390c9fa2b03dc516d6887d5fdaafda1474533f7b1a7ff0cdbd00aea78b",
     # was e7a4f244e8105c8d86e559f05c938355f6de426aed8bddd934b89f8ad9496342
     "special-1x0":
         "2b59fc69cf3870d54cd640f51bdc6a4098aa41b198554f797e98a9a82ab3706d",
-    # was 29583be111c9cfb5c58d840224ffd0ae636cfec09d6c91794b5e47115f4eb274
+    # was 29583be111c9cfb5c58d840224ffd0ae636cfec09d6c91794b5e47115f4eb274 (before the gemm blocks)
+    # was 8395a8064d6ddcc23bedfb540ebd041604df5a9aec6454bbacabd37eed6283e0 (before the face jumps)
     "special-64x500":
-        "8395a8064d6ddcc23bedfb540ebd041604df5a9aec6454bbacabd37eed6283e0",
-    # was 7bffea7e936529217d2e64564a39a8322b6ed05e03633b88f4bd05d588f37105
+        "12d4fde8d01e47a4b3d6c7ba339147b02c46d6b478e364e64687c06021375476",
+    # was 7bffea7e936529217d2e64564a39a8322b6ed05e03633b88f4bd05d588f37105 (before the gemm blocks)
+    # was 66ca2f2ee151093795510a2a08c422120bb545ef4a147d27fd328264b6dcbc4e (before the face jumps)
     "special-7x50":
-        "66ca2f2ee151093795510a2a08c422120bb545ef4a147d27fd328264b6dcbc4e",
+        "4e09ab7a725e3b24c42a31ba9f9e92a64409d0a229aca630bdf81a9a458b208e",
 }
 
 
 class TestRho1MultistartFrozen:
     """SHA-256 of repr(value) and the witness bytes over each family,
     recorded while the restarts still ran one after another (all but
-    special-16x1 re-recorded for the blocked gemm gradient)."""
+    special-16x1 re-recorded for the blocked gemm gradient, and the 64x500
+    and 7x50 runs again for the face jumps)."""
 
     @pytest.mark.parametrize("run", sorted(MULTISTART_RUNS))
     @pytest.mark.parametrize("family", sorted(MULTISTART_FAMILIES))
@@ -457,15 +467,17 @@ class TestRho1Multistart:
 
     def test_blas_threads_leave_digest_unchanged(self):
         # unpadded 8-row gemm blocks changed bits with the OpenBLAS thread
-        # count at n = 400 and 513
+        # count at n = 400 and 513; 2J steps make two rounds of face jumps,
+        # whose stacked solves and candidate gemm must keep the bits too
         code = (
             "import hashlib\n"
             "from l1gram import Rng, build_T, rho1_multistart\n"
+            "from l1gram.bounds import _JUMP_EVERY\n"
             "h = hashlib.sha256()\n"
             "for n in (400, 513):\n"
             "    for restarts in (16, 64):\n"
             "        rep = rho1_multistart(build_T(n, Rng(n)), restarts=restarts,"
-            " steps=20, rng=Rng(n))\n"
+            " steps=2 * _JUMP_EVERY, rng=Rng(n))\n"
             "        h.update(repr(rep.lower).encode())\n"
             "        h.update(rep.witness.tobytes())\n"
             "print(h.hexdigest())\n"
@@ -491,7 +503,110 @@ class TestRho1Multistart:
             rho1_multistart(GramMatrix(np.eye(2)), steps=-1, rng=Rng(1))
 
 
+def no_jumps(arr, X):
+    return np.arange(0), np.zeros((0, X.shape[1]))
+
+
+class TestFaceJumps:
+    """The face jump that rho1_multistart makes every _JUMP_EVERY steps."""
+
+    def test_accepted_jump_never_lowers_a_row(self, monkeypatch):
+        # with steps = J the only jump comes after the last step, so each
+        # one-restart run ends on its row as the jump left it, and the same
+        # run with no candidates ends on the row as it stood before the jump
+        T = build_T(40, Rng(3))
+        steps = bounds_mod._JUMP_EVERY
+        jumped = [rho1_multistart(T, restarts=1, steps=steps, rng=Rng(r))
+                  for r in range(24)]
+        monkeypatch.setattr(bounds_mod, "_face_jumps", no_jumps)
+        before = [rho1_multistart(T, restarts=1, steps=steps, rng=Rng(r))
+                  for r in range(24)]
+        assert all(j.lower >= b.lower for j, b in zip(jumped, before))
+        assert sum(j.lower > b.lower for j, b in zip(jumped, before)) >= 12
+
+    def test_worse_candidate_is_refused(self, monkeypatch):
+        # a vertex on T's diagonal (-sqrt(n)/4 < 0) is worse than every
+        # ascended row, so each is refused and the run keeps the bytes of a
+        # run whose jumps find no candidate
+        T = build_T(40, Rng(3))
+
+        def vertex(arr, X):
+            C = np.zeros_like(X)
+            C[:, 0] = 1.0
+            return np.arange(X.shape[0]), C
+
+        runs = []
+        for jumps in (vertex, no_jumps):
+            monkeypatch.setattr(bounds_mod, "_face_jumps", jumps)
+            rep = rho1_multistart(T, restarts=16, steps=4 * bounds_mod._JUMP_EVERY,
+                                  rng=Rng(5))
+            runs.append((repr(rep.lower), rep.witness.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_saddle_of_a_face_is_refused(self):
+        # on I the stationary point of the face {0, 1} is its minimum along
+        # e_0 - e_1, on -I its maximum; a vertex always passes
+        X = np.array([[0.5, 0.5], [0.0, -1.0]])
+        rows, C = bounds_mod._face_jumps(np.eye(2), X)
+        assert rows.tolist() == [1] and C.tolist() == [[0.0, -1.0]]
+        rows, C = bounds_mod._face_jumps(-np.eye(2), X)
+        assert rows.tolist() == [0, 1] and C.tolist() == [[0.5, 0.5], [0.0, -1.0]]
+
+    def test_support_above_the_cap_is_not_tried(self):
+        # on -I every face's stationary point is its maximum; the row with
+        # one entry more than the cap gets no candidate
+        cap = bounds_mod._JUMP_MAX_SUPPORT
+        X = np.zeros((2, cap + 4))
+        X[0, :cap + 1] = 1.0 / (cap + 1)
+        X[1, :cap] = -1.0 / cap
+        rows, C = bounds_mod._face_jumps(-np.eye(cap + 4), X)
+        assert rows.tolist() == [1]
+        assert (np.sign(C[0]) == np.sign(X[1])).all()
+
+    def test_saddle_jump_does_not_cost_the_best_value(self, monkeypatch):
+        # the README's heuristic cell n = 200, seed 11: jumps that took face
+        # saddles held the best restart there and lost 2.4e-2
+        root = Rng(11)
+        T = shift_to_T(sample_W(200, root.child(0)))
+        jumped = rho1_multistart(T, rng=root.child(1))
+        monkeypatch.setattr(bounds_mod, "_face_jumps", no_jumps)
+        before = rho1_multistart(T, rng=root.child(1))
+        assert jumped.lower >= before.lower * (1.0 - 1e-12)
+
+    def test_singular_face_is_skipped(self, monkeypatch):
+        # rows 0 and 1 of a are equal, so a face holding both is singular:
+        # LU meets an exact zero pivot, the stacked solve raises and slogdet
+        # finds the block
+        a = random_symmetric(6, 11).entries.copy()
+        a[1], a[:, 1] = a[0], a[:, 0]
+        X = np.array([[0.5, -0.5, 0.0, 0.0, 0.0, 0.0],
+                      [0.25, 0.25, 0.5, 0.0, 0.0, 0.0],
+                      [0.5, 0.0, 0.0, 0.0, 0.0, 0.5],
+                      [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+        calls = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m: calls.append(m) or slogdet(m))
+        rows, C = bounds_mod._face_jumps(a, X)
+        assert len(calls) == 2  # the size-2 and size-3 stacks
+        assert 0 not in rows and 1 not in rows and 3 in rows
+        assert C.shape == (rows.size, 6)
+        rep = rho1_multistart(GramMatrix(a), restarts=16,
+                              steps=4 * bounds_mod._JUMP_EVERY, rng=Rng(2))
+        assert rep.lower <= rho1_exact(GramMatrix(a)).upper + 1e-12
+
+
 class TestPiplusRank1Lower:
+    def test_lower_is_a_float(self):
+        # the re-evaluated quotient wins the max at this structured cell and
+        # in the direct call below, where it was an np.float64
+        cert = certify_ratio(128, 2, mode="structured")
+        assert type(cert.piplus.lower) is float
+        assert type(cert.ratio.lower) is float
+        rho1 = BoundReport("rho1", lower=0.0, upper=None, method="multistart",
+                           certificate="heuristic", witness=np.array([1.0, 1.0]))
+        rep = piplus_rank1_lower(OFFDIAG, rho1)
+        assert type(rep.lower) is float and rep.lower == 0.5
+
     def test_identity(self):
         I2 = GramMatrix(np.eye(2))
         rep = piplus_rank1_lower(I2, rho1_exact(I2))
@@ -953,9 +1068,8 @@ def certificate_fields(obj, prefix=""):
 
 
 def field_bytes(value):
-    # numbers as float64 bytes: piplus.lower is an np.float64 when the
-    # re-evaluated rank-one value wins its max and a float otherwise, and
-    # repr tells the two apart
+    # numbers as float64 bytes, so that the digest reads each value and not
+    # its Python type
     if value is None:
         return b"None"
     if isinstance(value, str):
@@ -986,21 +1100,28 @@ STRUCTURED_CELLS = {
 }
 
 FROZEN_STRUCTURED = {
+    # re-recorded when the multistart, whose best point gives the rank-one
+    # piplus lower bound, began its face jumps; each keeps its old digest
+    # was 0d3d695ff87438d9b18c462b5fea9204e17e9ed7fe042be7fa452623fe644985
     (32, 5):
-        "0d3d695ff87438d9b18c462b5fea9204e17e9ed7fe042be7fa452623fe644985",
+        "be40bb5a150c025d0a96b0d3cfe3dad3c1dfbc04f7a19f23dce6d3d7b05806f2",
+    # was 0c87a144bb966159441fcdae6c1d9623ba9bbc97f0d6fe2fa08ed9e151fe1216
     (64, 1):
-        "0c87a144bb966159441fcdae6c1d9623ba9bbc97f0d6fe2fa08ed9e151fe1216",
+        "92545c8294dce01ac62e48d90e5221cc8f19df1fa8172c73658f5f77737dc4b9",
+    # was 59162f5c57f869d37c74e52ebb3508f7192ae140f476622801abdf9d0bc6bbec
     (128, 2):
-        "59162f5c57f869d37c74e52ebb3508f7192ae140f476622801abdf9d0bc6bbec",
+        "c9a43c930dc7e57c8997b7167a3093d9635cb7e4971d471ef288796588e11af7",
+    # was d652f86b14298419b0f296a36fb016ed8bfcf88238cdc790827ca8aeebe6124d
     (256, 3):
-        "d652f86b14298419b0f296a36fb016ed8bfcf88238cdc790827ca8aeebe6124d",
+        "d1cc35950447c5d9ce3f72b757ba2517184c551f52970315b70683c72a551ed7",
 }
 
 
 class TestCertifyStructuredFrozen:
     """SHA-256 of every field of certify_ratio(n, seed, mode="structured"),
     numbers as float64 bytes, recorded while the subset-fraction scan, the
-    spectral norm and the split bound were three public functions.  n = 32,
+    spectral norm and the split bound were three public functions, and
+    re-recorded when the multistart began its face jumps.  n = 32,
     64 and 128 scan exhaustively (certified_bound); n = 256 samples subsets
     (heuristic)."""
 

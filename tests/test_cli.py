@@ -272,8 +272,10 @@ FROZEN_DIGESTS = {
     # against a 32-padded T; was da1a438c226f3986aa946b6f6f480c5295444df5c56f9d8180ec9990ac3fa44a
     # re-recorded when run_scaling lost restarts/steps, so the case moved
     # from 4 x 50 to the fixed 64 x 500; was 7eb097a119574f2fd0c70d267840e198ea332c1ec12b5060a8653761286d7ac5
+    # re-recorded when the multistart began its face jumps; was
+    # 3949b7dbeef79cc446e41d60283a4ddf2216d757e1971104581a59e619a19280
     "scaling-heuristic":
-        "3949b7dbeef79cc446e41d60283a4ddf2216d757e1971104581a59e619a19280",
+        "9b6eb36338a2ed3cb7315be991715160b5538de471ceb051b15156ba3b076cd8",
     # re-recorded when each n's Bai-Yin trials, restricted-norm W and subsets
     # came from disjoint children of one per-n root; was ff3e8d0016db27ba137cf04d8ee914c7b7a233e3701f23bc88a63c987a1429f7
     "lemmas":
