@@ -781,9 +781,10 @@ def _rho1_structured(W: GramMatrix, rng: Rng) -> tuple:
 def _piplus_lower(T, rho1_report: BoundReport,
                   wit: Optional[WitnessCertificate]) -> BoundReport:
     """The better certified piplus lower bound: the shifted-identity witness
-    when it is feasible and beats the rank-one witness of the rho1 search."""
+    when it beats the rank-one witness of the rho1 search and is feasible.
+    Feasibility, one eigvalsh of W, is read only for a witness that wins."""
     rank1 = piplus_rank1_lower(T, rho1_report)
-    if wit is not None and wit.feasible and wit.value > rank1.lower:
+    if wit is not None and wit.value > rank1.lower and wit.feasible:
         return BoundReport(quantity="piplus", lower=wit.value, upper=None,
                            method="witness", certificate="certified_bound",
                            witness=wit.A)
@@ -822,11 +823,8 @@ def certify_ratio(n: int, seed: int, c: float = 2.5, mode: str = "exact",
     the better of the shifted-identity witness (when PSD) and the rank-one
     witness taken from the rho1 search: rho1_exact's maximizer in exact
     mode, the best start of a default rho1_multistart (64 restarts of 500
-    steps) in structured mode.  There the multistart is most of the time
-    at large n (about 90% at n = 512), and its face jumps every J = 25
-    steps (rho1_multistart, which also gives the grid that chose J) cut
-    that time by about a third; on the grid's eight structured-ratio cells
-    (n = 128 and 512) no value fell against the run without jumps.
+    steps) in structured mode, where the multistart takes most of the time
+    at large n.
     A denominator that is not a positive finite number, or a lower bound at
     or below 0, falls back to ratio = 1, which always holds.
     """

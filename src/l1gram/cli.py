@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .bounds import (
     DEFAULT_N_CAP,
-    BoundReport,
     piplus_dual_upper,
     piplus_rank1_lower,
     rho1_exact,
@@ -36,7 +35,8 @@ from .bounds import (
 from .decompose import (PIVOT_RULE_KINDS, PivotRule, eigen_decomposer,
                         greedy_peel, validate)
 from .errors import L1GramError, SingularPivotError
-from .experiments import run_compare, run_lemmas, run_scaling, write_rows
+from .experiments import (_json_record, run_compare, run_lemmas, run_scaling,
+                          write_rows)
 from .matio import load_matrix, save_decomposition
 from .rng import Rng
 
@@ -118,36 +118,22 @@ def _cmd_decompose(args) -> int:
             rule = PivotRule(args.pivot)
         dec = greedy_peel(A, rule)
     report = validate(dec, A)
-    n_tr = A.n * float(np.trace(A.entries))
-    one_norm = float(np.abs(A.entries).sum())
     print(f"n               {A.n}")
     print(f"vectors         {dec.k}")
     print(f"total_cost      {dec.total_cost:.17g}")
-    print(f"n*tr(A)         {n_tr:.17g}")
-    print(f"entrywise_norm  {one_norm:.17g}")
+    print(f"n*tr(A)         {report.n_times_trace:.17g}")
+    print(f"entrywise_norm  {report.entrywise_one_norm:.17g}")
     print(f"bound_margin    {report.bound_margin:.17g}")
     print(f"reconstruction  max_err={report.reconstruction_error:.3e} "
           f"ok={report.reconstruction_ok}")
     if args.out is not None:
         save_decomposition(args.out, dec)
         report_path = _report_path(args.out)
+        record = {"n": dec.n, "vectors": dec.k,
+                  **_json_record(dec, omit=("vectors", "costs", "pivots")),
+                  **_json_record(report)}
         with open(report_path, "w") as fh:
-            json.dump({
-                "n": A.n,
-                "vectors": dec.k,
-                "source": dec.source,
-                "total_cost": dec.total_cost,
-                "n_times_trace": n_tr,
-                "entrywise_one_norm": one_norm,
-                "bound_margin": report.bound_margin,
-                "residual_trace": dec.residual_trace,
-                "reconstruction_error": report.reconstruction_error,
-                "reconstruction_ok": report.reconstruction_ok,
-                "cost_ok": report.cost_ok,
-                "bound_ok": report.bound_ok,
-                "messages": list(report.messages),
-            }, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(record, indent=2) + "\n")
         print(f"export          {args.out}")
         print(f"report          {report_path}")
     if not report.ok:
@@ -157,17 +143,6 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _report_to_dict(report: BoundReport) -> dict:
-    return {
-        "quantity": report.quantity,
-        "lower": report.lower,
-        "upper": report.upper,
-        "method": report.method,
-        "certificate": report.certificate,
-        "witness_path": None,  # kept so the bounds JSON bytes stay stable
-    }
-
-
 def _cmd_bounds(args) -> int:
     A = load_matrix(args.matrix)
     if A.n <= DEFAULT_N_CAP:
@@ -175,7 +150,8 @@ def _cmd_bounds(args) -> int:
     else:
         r1 = rho1_multistart(A, rng=Rng(1))
     reports = [r1, piplus_rank1_lower(A, r1), piplus_dual_upper(A)]
-    payload = json.dumps([_report_to_dict(r) for r in reports], indent=2) + "\n"
+    payload = json.dumps([_json_record(r, omit=("witness",)) for r in reports],
+                         indent=2) + "\n"
     if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(payload)

@@ -22,6 +22,7 @@ against -tol, so both give the same verdict (see _require_psd).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -114,6 +115,8 @@ class ValidationReport:
     reconstruction_ok: bool
     cost_discrepancy: float
     cost_ok: bool
+    n_times_trace: float
+    entrywise_one_norm: float  # ||A||_1, the sum of |A_ij|
     bound_margin: float  # n * tr(A) - total_cost
     bound_ok: bool
     messages: Tuple[str, ...] = field(default_factory=tuple)
@@ -340,7 +343,9 @@ def greedy_peel(A, rule: PivotRule = DEFAULT_RULE) -> Decomposition:
 
 def validate(dec: Decomposition, A) -> ValidationReport:
     """Check reconstruction (max error <= _TOL_REC (1 + ||A||_1) plus the
-    residual trace, _TOL_REC = 1e-9), cost bookkeeping and the n*tr(A) bound."""
+    residual trace, _TOL_REC = 1e-9), cost bookkeeping and the n*tr(A) bound.
+    A non-finite allowance (||A||_1 or the trace overflowed) fails, since
+    inf would pass any error."""
     a = as_matrix_array(A)
     n = a.shape[0]
     messages = []
@@ -348,9 +353,12 @@ def validate(dec: Decomposition, A) -> ValidationReport:
         raise ValueError(f"decomposition is for n={dec.n}, matrix has n={n}")
 
     err = float(np.abs(dec.reconstruct() - a).max())
-    allowance = _TOL_REC * (1.0 + float(np.abs(a).sum())) + dec.residual_trace
-    rec_ok = err <= allowance
-    if not rec_ok:
+    one_norm = float(np.abs(a).sum())
+    allowance = _TOL_REC * (1.0 + one_norm) + dec.residual_trace
+    rec_ok = math.isfinite(allowance) and err <= allowance
+    if not math.isfinite(allowance):
+        messages.append(f"reconstruction allowance {allowance:.3e} is not finite")
+    elif not rec_ok:
         messages.append(
             f"reconstruction error {err:.3e} exceeds allowance {allowance:.3e}"
         )
@@ -377,6 +385,8 @@ def validate(dec: Decomposition, A) -> ValidationReport:
         reconstruction_ok=rec_ok,
         cost_discrepancy=cost_disc,
         cost_ok=cost_ok,
+        n_times_trace=n_tr,
+        entrywise_one_norm=one_norm,
         bound_margin=margin,
         bound_ok=bound_ok,
         messages=tuple(messages),

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -64,18 +64,25 @@ def rows_to_csv_text(rows: Sequence[ExperimentRow]) -> str:
     return buf.getvalue()
 
 
+def _json_record(obj, omit: Sequence[str] = ()) -> dict:
+    """The fields of dataclass obj as a JSON object, in declaration order,
+    less those named in omit; a non-finite float is written as None (JSON
+    null), so that strict JSON parsers accept the output."""
+    items = ((f.name, getattr(obj, f.name)) for f in fields(obj) if f.name not in omit)
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in items}
+
+
 def write_rows(path_or_file, rows: Sequence[ExperimentRow], fmt: str = "csv") -> None:
     """Write rows as CSV or as a JSON list of objects.
 
     The CSV spells a non-finite value nan or inf; the JSON writes it as
-    null, so that strict JSON parsers accept the output.
+    null (_json_record).
     """
     if fmt == "csv":
         text = rows_to_csv_text(rows)
     elif fmt == "json":
-        records = [{**asdict(r), "value": r.value if math.isfinite(r.value) else None}
-                   for r in rows]
-        text = json.dumps(records, indent=2) + "\n"
+        text = json.dumps([_json_record(r) for r in rows], indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if hasattr(path_or_file, "write"):

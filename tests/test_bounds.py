@@ -1028,6 +1028,24 @@ class TestCertifyRatio:
         with pytest.raises(ValueError, match="c must be finite and positive"):
             certify_ratio(n, 3, c=c)
 
+    def test_witness_feasibility_read_only_when_it_wins(self):
+        # at n = 12, c = 2.5 the witness value is negative and loses to the
+        # rank-one bound, so its eigvalsh of W never runs; against a rank-one
+        # bound of 0 at n = 64 its value 0.0625 wins and feasibility is read
+        W = sample_W(12, Rng(3).child(0))
+        T = shift_to_T(W)
+        wit = piplus_witness(W, 2.5)
+        pi = bounds_mod._piplus_lower(T, rho1_exact(T), wit)
+        assert pi.method == "rank1_witness" and wit.value < 0.0
+        assert "lambda_min" not in vars(wit)
+        W = sample_W(64, Rng(3).child(0))
+        wit = piplus_witness(W, 2.5)
+        zero = BoundReport(quantity="rho1", lower=0.0, upper=None,
+                           method="none", certificate="heuristic")
+        pi = bounds_mod._piplus_lower(shift_to_T(W), zero, wit)
+        assert (pi.method, pi.lower) == ("witness", wit.value)
+        assert "lambda_min" in vars(wit)
+
     def test_structured_mode_runs_and_floors(self):
         cert = certify_ratio(32, 5, mode="structured")
         assert cert.mode == "structured"

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 import l1gram
 from l1gram import GramMatrix, save_matrix
 from l1gram.cli import _PARSER, build_parser, main
+from l1gram.decompose import ValidationReport
 from l1gram.experiments import (
     ExperimentRow,
     fit_loglog_exponent,
@@ -52,6 +54,33 @@ class TestDecomposeCommand:
         assert report["total_cost"] == 9.0
         assert report["bound_margin"] == 0.0
         assert report["reconstruction_ok"] is True
+
+    def test_report_keys_follow_the_dataclasses(self, tmp_path, capsys):
+        p = write_ones(tmp_path)
+        assert main(["decompose", str(p), "--out", str(tmp_path / "dec.txt")]) == 0
+        report = json.loads((tmp_path / "dec.txt.report.json").read_text())
+        assert list(report) == [
+            "n", "vectors", "total_cost", "source", "residual_trace",
+            *(f.name for f in dataclasses.fields(ValidationReport))]
+
+    @pytest.mark.parametrize("method", ["peel", "eigen"])
+    def test_overflowing_input_exits_3_with_strict_report(self, method,
+                                                          tmp_path, capsys):
+        # tr A and ||A||_1 overflow, so nothing bounds the reconstruction
+        # error; peeling stops with no vector peeled
+        p = tmp_path / "big.txt"
+        p.write_text("2\n1e308 0\n0 1e308\n")
+        out = tmp_path / "dec.txt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["decompose", str(p), "--method", method,
+                         "--out", str(out)])
+        assert code == 3
+        report = strict_json((tmp_path / "dec.txt.report.json").read_text())
+        assert report["reconstruction_ok"] is False
+        assert report["reconstruction_allowance"] is None
+        assert report["n_times_trace"] is None
+        assert "not finite" in report["messages"][0]
+        assert "not finite" in capsys.readouterr().err
 
     def test_diagonal_cost_equals_trace(self, tmp_path, capsys):
         p = tmp_path / "diag.txt"
@@ -238,6 +267,16 @@ class TestBoundsCommand:
         dual = json.loads(capsys.readouterr().out)[2]
         assert dual["method"] == "dual_ap"
         assert dual["lower"] == 0.0 and dual["upper"] == 0.0
+
+
+    def test_overflowing_input_writes_strict_json(self, tmp_path, capsys):
+        p = tmp_path / "big.txt"
+        p.write_text("2\n1e308 0\n0 1e308\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["bounds", str(p)]) == 0
+        reports = strict_json(capsys.readouterr().out)
+        assert reports[0]["lower"] == reports[0]["upper"] == 1e308
+        assert reports[2]["upper"] is None  # inf: the dual is inconclusive
 
 
 def rows_digest(rows):

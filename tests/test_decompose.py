@@ -568,6 +568,14 @@ class TestValidate:
         assert report.ok, report.messages
         assert report.reconstruction_error > 1e-9 * (1.0 + np.abs(A.entries).sum())
 
+    def test_reports_n_times_trace_and_entrywise_norm(self):
+        A = sample_wishart(6, Rng(8))
+        dec = greedy_peel(A)
+        report = validate(dec, A)
+        assert report.n_times_trace == 6 * float(np.trace(A.entries))
+        assert report.entrywise_one_norm == float(np.abs(A.entries).sum())
+        assert report.bound_margin == report.n_times_trace - dec.total_cost
+
 
 def test_decomposition_bookkeeping_invariants():
     A = sample_wishart(9, Rng(4))

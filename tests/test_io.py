@@ -1,5 +1,6 @@
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -18,12 +19,11 @@ from l1gram import (
     Rng,
     greedy_peel,
     load_matrix,
-    rho1_exact,
     sample_wishart,
     save_decomposition,
     save_matrix,
 )
-from l1gram.cli import _report_to_dict
+from l1gram.cli import main
 
 
 def write_raw(path, text):
@@ -331,11 +331,13 @@ class TestDecompositionExport:
 
 
 class TestReportJson:
-    def test_dict_without_witness(self):
-        rep = rho1_exact(GramMatrix(np.eye(2)))
-        d = _report_to_dict(rep)
-        assert set(d) == {"quantity", "lower", "upper", "method", "certificate",
-                          "witness_path"}
-        assert d["witness_path"] is None
+    def test_dict_without_witness(self, tmp_path, capsys):
+        p = tmp_path / "i2.txt"
+        save_matrix(p, GramMatrix(np.eye(2)))
+        assert main(["bounds", str(p), "--out", str(tmp_path / "b.json")]) == 0
+        rows = json.loads((tmp_path / "b.json").read_text())
+        for d in rows:
+            assert list(d) == ["quantity", "lower", "upper", "method", "certificate"]
+        d = rows[0]
         assert (d["quantity"], d["certificate"]) == ("rho1", "exact")
         assert d["lower"] == d["upper"] == 1.0
